@@ -172,8 +172,7 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
             let net0 = if rec { shared.net_ns_of(me) } else { (0, 0) };
             // SAFETY: exactly-once ownership by round-robin assignment; all
             // predecessors observed done for this epoch.
-            unsafe { shared.graph().execute(node as usize, &ctx) };
-            let t1 = Instant::now();
+            let t1 = unsafe { shared.graph().execute_stamped(node as usize, &ctx) };
             if tracing {
                 events.push(RawEvent {
                     node,
@@ -354,6 +353,10 @@ impl GraphExecutor for BusyExecutor {
 
     fn topology(&self) -> &GraphTopology {
         self.shared.graph().topology()
+    }
+
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        Some(self.pool.pool())
     }
 }
 

@@ -241,10 +241,9 @@ pub(crate) fn run_cycle_part(sh: &HybridShared, me: usize, epoch: u64) {
             }
         }
         let net0 = if rec { sh.base.net_ns_of(me) } else { (0, 0) };
-        // SAFETY: exactly-once by static assignment; pending==0 acquired.
-        unsafe { sh.base.graph().execute(node as usize, &ctx) };
         if tracing || telem || rec {
-            let t1 = Instant::now();
+            // SAFETY: exactly-once by static assignment; pending==0 acquired.
+            let t1 = unsafe { sh.base.graph().execute_stamped(node as usize, &ctx) };
             if tracing {
                 events.push(RawEvent {
                     node,
@@ -264,6 +263,9 @@ pub(crate) fn run_cycle_part(sh: &HybridShared, me: usize, epoch: u64) {
                 sh.base
                     .record_exec_carved(me, epoch, node, fault_end, t1, net0);
             }
+        } else {
+            // SAFETY: as above.
+            unsafe { sh.base.graph().execute(node as usize, &ctx) };
         }
         for &s in topo.succs(NodeId(node)) {
             let sc = sh.base.graph().cell(s as usize);
@@ -448,6 +450,10 @@ impl GraphExecutor for HybridExecutor {
 
     fn topology(&self) -> &GraphTopology {
         self.shared.base.graph().topology()
+    }
+
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        Some(self.pool.pool())
     }
 }
 

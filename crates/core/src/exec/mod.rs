@@ -338,6 +338,14 @@ pub trait GraphExecutor: Send {
 
     /// The graph topology.
     fn topology(&self) -> &GraphTopology;
+
+    /// The shared worker pool whose lanes run this executor's cycles, or
+    /// `None` for executors that run inline on the driver (Sequential).
+    /// Callers may [`fork_join`](VenuePool::fork_join) their own per-lane
+    /// work on it between cycles.
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        None
+    }
 }
 
 /// Runtime payload of a node (behind the `UnsafeCell`).
@@ -550,7 +558,32 @@ impl ExecGraph {
     /// Caller must be the exclusive executor of `node` this epoch, and every
     /// predecessor must already be done for `epoch` (observed with
     /// `Acquire`).
+    #[inline]
     pub(crate) unsafe fn execute(&self, node: usize, ctx: &CycleCtx<'_>) {
+        self.run(node, ctx);
+        self.publish(node, ctx.epoch);
+    }
+
+    /// [`execute`](Self::execute), taking the end stamp between running
+    /// and publishing. A successor can only start after it observes the
+    /// publication, so a traced or recorded end stamp never postdates a
+    /// dependent's start stamp, even across cores.
+    ///
+    /// # Safety
+    /// As [`execute`](Self::execute).
+    #[inline]
+    pub(crate) unsafe fn execute_stamped(&self, node: usize, ctx: &CycleCtx<'_>) -> Instant {
+        self.run(node, ctx);
+        let end = Instant::now();
+        self.publish(node, ctx.epoch);
+        end
+    }
+
+    /// Run `node`'s processor for `ctx.epoch` without publishing it.
+    ///
+    /// # Safety
+    /// As [`execute`](Self::execute).
+    unsafe fn run(&self, node: usize, ctx: &CycleCtx<'_>) {
         let preds = self.topo.preds(NodeId(node as u32));
         let mut inputs: [&AudioBuf; MAX_INPUTS] = [&self.empty; MAX_INPUTS];
         for (k, &p) in preds.iter().enumerate() {
@@ -562,9 +595,13 @@ impl ExecGraph {
         let rt = &mut *self.runtimes[node].0.get();
         rt.processor
             .process(&inputs[..preds.len()], &mut rt.output, ctx);
-        self.cells[node]
-            .done_epoch
-            .store(ctx.epoch, Ordering::Release);
+    }
+
+    /// Publish `node` done for `epoch` (`Release`: its output becomes
+    /// visible to every waiter that `Acquire`s the store).
+    #[inline]
+    fn publish(&self, node: usize, epoch: u64) {
+        self.cells[node].done_epoch.store(epoch, Ordering::Release);
     }
 
     /// Reset pending counters for a new cycle. Driver only, between cycles.

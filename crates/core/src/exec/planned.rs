@@ -466,8 +466,7 @@ pub(crate) fn run_cycle_part(sh: &PlannedShared, me: usize, epoch: u64) {
             // SAFETY: exactly-once ownership by blueprint validation; all
             // predecessors observed done for this epoch (same-worker preds
             // by program order, cross-worker preds by the waits above).
-            unsafe { sh.base.graph().execute(node as usize, &ctx) };
-            let t1 = Instant::now();
+            let t1 = unsafe { sh.base.graph().execute_stamped(node as usize, &ctx) };
             if tracing {
                 events.push(RawEvent {
                     node,
@@ -674,6 +673,10 @@ impl GraphExecutor for PlannedExecutor {
 
     fn topology(&self) -> &GraphTopology {
         self.shared.base.graph().topology()
+    }
+
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        Some(self.pool.pool())
     }
 }
 

@@ -32,6 +32,16 @@
 //!    deques, or swap a session's topology — everything between batches is
 //!    again plain single-threaded data.
 //!
+//! # Fork-join batches
+//!
+//! [`VenuePool::fork_join`] is one more batch kind on the same epoch and
+//! `exited` protocol: instead of staging sessions, the driver publishes a
+//! borrowed lane job tagged with the next pool epoch. A worker runs the job
+//! for its epoch before walking the (then unstaged) entry table, and the
+//! driver quiesces before returning, so the borrow never outlives the call.
+//! The engine uses it to run per-deck front-end work on the lanes that
+//! already serve its graph.
+//!
 //! Deadlock freedom: driver and workers traverse staged sessions in the
 //! same entry order, and within a session the per-strategy protocols are
 //! unchanged. All park/wake sites already tolerate spurious wakeups, so
@@ -125,13 +135,28 @@ struct PoolCore {
     /// The entry table. Driver-only between batches; workers hold a shared
     /// reference only while a batch is in flight.
     entries: DriverCell<Vec<PoolEntry>>,
+    /// The lane job of a fork-join batch. Driver-only between batches,
+    /// like `entries`; a worker runs it only when its epoch matches the
+    /// batch it woke for.
+    job: DriverCell<Option<LaneJob>>,
     /// Spawned workers (lanes `1..threads`), i.e. `threads - 1`.
     workers: u32,
 }
 
-// SAFETY: `entries` is governed by the batch protocol documented at module
-// level — workers read it only between the pool-epoch `Acquire` and their
-// `exited` `Release`; the driver mutates it only after `quiesce`.
+/// A lane job published for one pool epoch by [`VenuePool::fork_join`].
+/// The `'static` is a lie told only while the job is live: `fork_join`
+/// quiesces before returning and clears the cell, so no worker can reach
+/// the borrow after the caller's frame ends.
+#[derive(Clone, Copy)]
+struct LaneJob {
+    epoch: u64,
+    f: &'static (dyn Fn(usize) + Sync),
+}
+
+// SAFETY: `entries` and `job` are governed by the batch protocol documented
+// at module level — workers read them only between the pool-epoch `Acquire`
+// and their `exited` `Release`; the driver mutates them only after
+// `quiesce`.
 unsafe impl Sync for PoolCore {}
 
 fn worker_loop(core: &PoolCore, me: usize) {
@@ -139,8 +164,14 @@ fn worker_loop(core: &PoolCore, me: usize) {
     while let Some(pe) = wait_for_batch(core, seen) {
         seen = pe;
         // SAFETY: the pool-epoch Acquire in `wait_for_batch` publishes the
-        // driver's entry-table and per-session writes; the driver will not
-        // touch the table again before our `exited` Release below.
+        // driver's job, entry-table and per-session writes; the driver will
+        // not touch them again before our `exited` Release below.
+        if let Some(job) = unsafe { *core.job.get() } {
+            if job.epoch == pe {
+                (job.f)(me);
+            }
+        }
+        // SAFETY: as above.
         let entries = unsafe { core.entries.get() };
         for e in entries.iter() {
             if e.batch_epoch == pe && me < e.state.threads() {
@@ -204,6 +235,7 @@ impl VenuePool {
             exited: CachePadded::new(AtomicU32::new(0)),
             shutdown: AtomicBool::new(false),
             entries: DriverCell::new(Vec::new()),
+            job: DriverCell::new(None),
             workers: (threads - 1) as u32,
         });
         let mut handles = Vec::with_capacity(threads - 1);
@@ -311,6 +343,53 @@ impl VenuePool {
         for h in &self.handles {
             h.unpark();
         }
+    }
+
+    /// Run `f(lane)` once on every lane of the pool — `f(0)` on the calling
+    /// driver, `f(w)` on worker `w` — and return once all of them finished.
+    /// The job rides one batch of the ordinary protocol: the pool is
+    /// quiesced first, the job is published for the next epoch, and the
+    /// pool is quiesced again before returning (also when `f(0)` unwinds),
+    /// which is what makes handing the workers a borrowed closure sound.
+    /// Every worker takes part; `f` ignores lanes it has no work for.
+    ///
+    /// A 1-lane pool runs `f(0)` inline and never bumps the epoch.
+    ///
+    /// # Panics
+    /// If any session is staged for the next batch: the fork would consume
+    /// that batch's epoch (and run the session's worker lanes without the
+    /// driver's). Stage sessions after forking, never before.
+    pub fn fork_join(&self, f: &(dyn Fn(usize) + Sync)) {
+        self.quiesce();
+        let next = self.core.epoch.load(Ordering::Relaxed) + 1;
+        // SAFETY: quiesced — the table is driver-owned.
+        let staged = unsafe { self.core.entries.get() }
+            .iter()
+            .any(|e| e.batch_epoch == next);
+        assert!(
+            !staged,
+            "fork_join with a session staged for the next batch"
+        );
+        if self.threads == 1 {
+            f(0);
+            return;
+        }
+        // SAFETY: lifetime erasure only; `Join` quiesces and clears the job
+        // before this frame (and the borrow of `f`) ends, even on unwind.
+        let f: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
+        // SAFETY: quiesced — the job cell is driver-owned.
+        unsafe { self.core.job.set(Some(LaneJob { epoch: next, f })) };
+        self.dispatch();
+        struct Join<'a>(&'a VenuePool);
+        impl Drop for Join<'_> {
+            fn drop(&mut self) {
+                self.0.quiesce();
+                // SAFETY: quiesced — the job cell is driver-owned again.
+                unsafe { self.0.core.job.set(None) };
+            }
+        }
+        let _join = Join(self);
+        f(0);
     }
 
     /// Run the driver's (lane 0) share of every session staged for the
@@ -457,6 +536,97 @@ mod tests {
         for _ in 0..10 {
             a.run_cycle(&[], &[]);
         }
+    }
+
+    /// Per-lane call counters for a `fork_join` job.
+    fn lane_counts(lanes: usize) -> Vec<AtomicU32> {
+        (0..lanes).map(|_| AtomicU32::new(0)).collect()
+    }
+
+    #[test]
+    fn fork_join_runs_every_lane_exactly_once() {
+        for lanes in [2, 3, 4] {
+            let pool = VenuePool::new(lanes);
+            let counts = lane_counts(lanes);
+            let driver = std::thread::current().id();
+            for round in 1..=50u32 {
+                pool.fork_join(&|lane| {
+                    assert_eq!(lane == 0, std::thread::current().id() == driver);
+                    counts[lane].fetch_add(1, Ordering::Relaxed);
+                });
+                // Joined: every lane's increment is visible on return.
+                for c in &counts {
+                    assert_eq!(c.load(Ordering::Relaxed), round);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fork_join_interleaves_with_batches_and_registration() {
+        let pool = Arc::new(VenuePool::new(3));
+        let counts = lane_counts(3);
+        let fork = || pool.fork_join(&|lane| _ = counts[lane].fetch_add(1, Ordering::Relaxed));
+        let mut a = BusyExecutor::with_pool(diamond_sum_graph(), 3, FRAMES, Priority::Depth, &pool);
+        let mut seq_a = SequentialExecutor::new(diamond_sum_graph(), FRAMES);
+        let last = crate::graph::NodeId(a.topology().len() as u32 - 1);
+        let mut buf = djstar_dsp::AudioBuf::zeroed(2, FRAMES);
+        let mut want = djstar_dsp::AudioBuf::zeroed(2, FRAMES);
+        let mut forks = 0;
+        for i in 0..30 {
+            fork();
+            forks += 1;
+            // A stealing session comes and goes between forks.
+            let mut b = (i % 3 == 0)
+                .then(|| StealExecutor::with_pool(fan_graph(5), 2, FRAMES, Priority::Depth, &pool));
+            fork();
+            forks += 1;
+            let ea = a.venue_stage(&[], &[]).unwrap();
+            let eb = b.as_mut().map(|b| b.venue_stage(&[], &[]).unwrap());
+            pool.dispatch();
+            pool.run_driver_parts();
+            a.venue_collect(ea);
+            if let (Some(b), Some(eb)) = (b.as_mut(), eb) {
+                b.venue_collect(eb);
+            }
+            // The next fork quiesces the batch itself.
+            fork();
+            forks += 1;
+            a.run_cycle(&[], &[]);
+            seq_a.run_cycle(&[], &[]);
+            seq_a.run_cycle(&[], &[]);
+            a.read_output(last, &mut buf);
+            seq_a.read_output(last, &mut want);
+            assert_eq!(buf.samples(), want.samples());
+        }
+        for c in &counts {
+            assert_eq!(c.load(Ordering::Relaxed), forks);
+        }
+        assert_eq!(pool.sessions(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "staged")]
+    fn fork_join_with_a_staged_session_panics() {
+        let pool = Arc::new(VenuePool::new(2));
+        let mut a = BusyExecutor::with_pool(fan_graph(5), 2, FRAMES, Priority::Depth, &pool);
+        let _ = a.venue_stage(&[], &[]).unwrap();
+        pool.fork_join(&|_| {});
+    }
+
+    #[test]
+    fn one_lane_fork_join_runs_inline_without_an_epoch() {
+        let pool = VenuePool::new(1);
+        let calls = AtomicU32::new(0);
+        for _ in 0..10 {
+            pool.fork_join(&|lane| {
+                assert_eq!(lane, 0);
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 10);
+        assert_eq!(pool.core.epoch.load(Ordering::Relaxed), 0);
+        assert!(!pool.in_flight.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -162,8 +162,7 @@ impl GraphExecutor for SequentialExecutor {
                 let net0 = if rec { self.counters.net_ns() } else { (0, 0) };
                 // SAFETY: single thread executes every node in queue order,
                 // which is a valid topological order.
-                unsafe { self.exec.execute(n as usize, &ctx) };
-                let t1 = Instant::now();
+                let t1 = unsafe { self.exec.execute_stamped(n as usize, &ctx) };
                 if telem {
                     self.counters.add_exec((t1 - t0).as_nanos() as u64);
                 }
@@ -193,8 +192,7 @@ impl GraphExecutor for SequentialExecutor {
                 }
                 let net0 = if rec { self.counters.net_ns() } else { (0, 0) };
                 // SAFETY: as above.
-                unsafe { self.exec.execute(n as usize, &ctx) };
-                let t1 = Instant::now();
+                let t1 = unsafe { self.exec.execute_stamped(n as usize, &ctx) };
                 if telem {
                     self.counters.add_exec((t1 - t0).as_nanos() as u64);
                 }

@@ -195,8 +195,7 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
             let net0 = if rec { shared.net_ns_of(me) } else { (0, 0) };
             // SAFETY: exactly-once ownership (static assignment); pending==0
             // observed with Acquire implies all predecessor outputs visible.
-            unsafe { shared.graph().execute(node as usize, &ctx) };
-            let t1 = Instant::now();
+            let t1 = unsafe { shared.graph().execute_stamped(node as usize, &ctx) };
             if tracing {
                 events.push(RawEvent {
                     node,
@@ -405,6 +404,10 @@ impl GraphExecutor for SleepExecutor {
 
     fn topology(&self) -> &GraphTopology {
         self.shared.graph().topology()
+    }
+
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        Some(self.pool.pool())
     }
 }
 

@@ -192,8 +192,7 @@ unsafe fn run_node(
             }
         }
         let net0 = if rec { ws.base.net_ns_of(me) } else { (0, 0) };
-        ws.base.graph().execute(node as usize, ctx);
-        let t1 = Instant::now();
+        let t1 = ws.base.graph().execute_stamped(node as usize, ctx);
         if tracing {
             events.push(RawEvent {
                 node,
@@ -567,6 +566,10 @@ impl GraphExecutor for StealExecutor {
 
     fn topology(&self) -> &GraphTopology {
         self.shared.base.graph().topology()
+    }
+
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        Some(self.pool.pool())
     }
 }
 

@@ -34,7 +34,7 @@ use djstar_core::net::NetStats;
 use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
 use djstar_workload::faults::FaultSpec;
-use djstar_workload::scenario::Scenario;
+use djstar_workload::scenario::{DeckConfig, Scenario};
 use djstar_workload::track::synth_track;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,6 +85,13 @@ impl AuxWork {
 }
 
 /// Timing breakdown of one APC.
+///
+/// `tp` and `gp` are the driver's wall time of each phase. In
+/// [`run_apc`](AudioEngine::run_apc) both phases are deck-parallel over the
+/// executor's lanes (deck `d` on lane `d % threads`, joined before the next
+/// phase); the venue path ([`venue_prepare`](AudioEngine::venue_prepare))
+/// runs them serially on the driver. Either way the four fields still sum
+/// to the cycle: `T(APC) = T(TP) + T(GP) + T(Graph) + T(VC)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApcTiming {
     /// Timecode processing.
@@ -118,6 +125,111 @@ pub struct VenueCyclePrep {
     pub gp: Duration,
 }
 
+/// One deck's front-end state: everything TP and GP touch for that deck,
+/// and nothing another deck touches, so a phase can run its decks on
+/// separate lanes.
+struct DeckFront {
+    player: Option<TrackPlayer>,
+    tc_gen: TimecodeGenerator,
+    tc_dec: TimecodeDecoder,
+    /// Timecode scratch buffer.
+    tc_buf: AudioBuf,
+    decoded_speed: f32,
+    /// Momentary platter-nudge offset from the controller, decaying per
+    /// cycle like a released jog wheel.
+    nudge: f32,
+    /// The last phase's `burn` result, added to the engine's `aux_sink`
+    /// in deck order after the join (so the sum is lane-count invariant).
+    burn: f32,
+}
+
+impl DeckFront {
+    /// TP for this deck: generate + decode its timecode control signal.
+    fn timecode(&mut self, d: usize, cfg: &DeckConfig, cycle: u64, iters: u32) {
+        // The virtual platter: scenario tempo plus a gentle DJ nudge
+        // wobble so the decoder has something to track.
+        let speed = if cfg.active {
+            cfg.tempo
+                * (1.0 + 0.015 * ((cycle as f32) * 0.045 + d as f32).sin())
+                * (1.0 + self.nudge)
+        } else {
+            0.0
+        };
+        // A released jog wheel spins back to neutral.
+        self.nudge *= 0.9;
+        self.tc_gen.generate(speed, &mut self.tc_buf);
+        let reading = self.tc_dec.decode(&self.tc_buf);
+        self.decoded_speed = reading.speed;
+        self.burn = burn(iters, reading.speed.abs() + d as f32 * 0.1);
+    }
+
+    /// GP for this deck: pull its time-stretched audio into `out`.
+    fn preprocess(&mut self, cfg: &DeckConfig, iters: u32, out: &mut AudioBuf) {
+        match &mut self.player {
+            Some(player) => {
+                let tempo = if self.decoded_speed.abs() > 0.05 {
+                    self.decoded_speed.abs()
+                } else {
+                    cfg.tempo
+                };
+                player.pull(tempo, out);
+                self.burn = burn(iters, tempo);
+            }
+            None => out.clear(),
+        }
+    }
+}
+
+/// Raw per-deck slots shared by the lanes of a front-end fork. Lane `l`
+/// touches only the slots `d` with `d % lanes == l`, so no two lanes alias.
+struct DeckSlots<T>(*mut T, usize);
+
+// SAFETY: the slots are handed out disjointly (see `for_each_deck`), and
+// each one is `Send` to the lane that owns it for the fork.
+unsafe impl<T: Send> Sync for DeckSlots<T> {}
+
+impl<T> DeckSlots<T> {
+    /// # Safety
+    /// `d < self.1`, and no other reference to slot `d` is live.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get(&self, d: usize) -> &mut T {
+        &mut *self.0.add(d)
+    }
+}
+
+/// Run `f(d, &mut items[d])` for every deck. With `lanes > 1` and a pool,
+/// deck `d` runs on lane `d % lanes` of one [`VenuePool::fork_join`] (the
+/// driver takes lane 0) and every deck has finished on return; otherwise
+/// the same calls run inline in deck order.
+fn for_each_deck<T: Send>(
+    pool: Option<&VenuePool>,
+    lanes: usize,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) + Sync,
+) {
+    match pool {
+        Some(pool) if lanes > 1 => {
+            let slots = DeckSlots(items.as_mut_ptr(), items.len());
+            pool.fork_join(&|lane| {
+                // Pool lanes beyond this engine's own have no decks.
+                if lane >= lanes {
+                    return;
+                }
+                for d in (lane..slots.1).step_by(lanes) {
+                    // SAFETY: `d < len`, and deck `d` belongs to this lane
+                    // alone for the duration of the fork.
+                    f(d, unsafe { slots.get(d) });
+                }
+            });
+        }
+        _ => {
+            for (d, item) in items.iter_mut().enumerate() {
+                f(d, item);
+            }
+        }
+    }
+}
+
 /// The DJ Star engine: decks, timecode, control surface and graph executor.
 pub struct AudioEngine {
     scenario: Scenario,
@@ -142,14 +254,7 @@ pub struct AudioEngine {
     /// Stagings whose PLAN blueprint failed to compile — surfaced as
     /// [`ReconfigError::Blueprint`] and counted here for telemetry.
     stage_failures: u64,
-    decks: Vec<Option<TrackPlayer>>,
-    tc_gen: Vec<TimecodeGenerator>,
-    tc_dec: Vec<TimecodeDecoder>,
-    tc_buf: AudioBuf,
-    decoded_speed: [f32; 4],
-    /// Momentary platter-nudge offsets from the controller, decaying per
-    /// cycle like a released jog wheel.
-    nudge: [f32; 4],
+    fronts: Vec<DeckFront>,
     aux: AuxWork,
     deck_bufs: Vec<AudioBuf>,
     ctrl: Vec<f32>,
@@ -296,21 +401,27 @@ impl AudioEngine {
         let frames = djstar_dsp::BUFFER_FRAMES;
         let (executor, map) =
             Self::build_executor(&scenario, &shape, strategy, threads, frames, pool);
-        let decks = scenario
+        let sr = djstar_dsp::SAMPLE_RATE;
+        let fronts = scenario
             .decks
             .iter()
-            .map(|d| {
-                d.active.then(|| {
+            .map(|d| DeckFront {
+                player: d.active.then(|| {
                     TrackPlayer::new(synth_track(
                         d.track_seed,
                         d.bpm,
                         scenario.track_secs,
                         d.style,
                     ))
-                })
+                }),
+                tc_gen: TimecodeGenerator::new(sr),
+                tc_dec: TimecodeDecoder::new(sr),
+                tc_buf: AudioBuf::zeroed(2, frames),
+                decoded_speed: 0.0,
+                nudge: 0.0,
+                burn: 0.0,
             })
             .collect();
-        let sr = djstar_dsp::SAMPLE_RATE;
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
         ctrl[controls::MASTER_GAIN] = scenario.master_gain;
@@ -326,12 +437,7 @@ impl AudioEngine {
             modes: None,
             admission: None,
             stage_failures: 0,
-            decks,
-            tc_gen: (0..4).map(|_| TimecodeGenerator::new(sr)).collect(),
-            tc_dec: (0..4).map(|_| TimecodeDecoder::new(sr)).collect(),
-            tc_buf: AudioBuf::zeroed(2, frames),
-            decoded_speed: [0.0; 4],
-            nudge: [0.0; 4],
+            fronts,
             aux,
             deck_bufs: (0..4).map(|_| AudioBuf::zeroed(2, frames)).collect(),
             ctrl,
@@ -1123,7 +1229,8 @@ impl AudioEngine {
                 if d >= 4 {
                     return false;
                 }
-                self.nudge[d] = (self.nudge[d] + delta).clamp(-0.5, 0.5);
+                let nudge = &mut self.fronts[d].nudge;
+                *nudge = (*nudge + delta).clamp(-0.5, 0.5);
             }
             // Graph-node controls need the node to exist in this shape.
             DeckEq(d, eq) => {
@@ -1202,54 +1309,49 @@ impl AudioEngine {
         true
     }
 
-    /// Phase 1 — TP: generate + decode each deck's timecode control signal.
-    fn timecode_phase(&mut self) {
-        for d in 0..4 {
-            let cfg = &self.scenario.decks[d];
-            // The virtual platter: scenario tempo plus a gentle DJ nudge
-            // wobble so the decoder has something to track.
-            let speed = if cfg.active {
-                cfg.tempo
-                    * (1.0 + 0.015 * ((self.cycle as f32) * 0.045 + d as f32).sin())
-                    * (1.0 + self.nudge[d])
-            } else {
-                0.0
-            };
-            // A released jog wheel spins back to neutral.
-            self.nudge[d] *= 0.9;
-            self.tc_gen[d].generate(speed, &mut self.tc_buf);
-            let reading = self.tc_dec[d].decode(&self.tc_buf);
-            self.decoded_speed[d] = reading.speed;
-            self.aux_sink += burn(self.aux.tp_iters, reading.speed.abs() + d as f32 * 0.1);
-        }
-    }
+    /// TP and GP, then the beat clock: the driver-side phases before the
+    /// graph. Each phase runs its decks on `lanes` lanes of the executor's
+    /// pool (1 = serially on the driver) and is joined before the next.
+    /// Returns the wall time of each phase.
+    fn front_end(&mut self, lanes: usize) -> (Duration, Duration) {
+        self.cycle += 1;
+        let pool = self.executor.pool().map(|p| &**p);
+        let (scenario, aux, cycle) = (&self.scenario, self.aux, self.cycle);
 
-    /// Phase 2 — GP: pull time-stretched deck audio + phase alignment.
-    fn preprocess_phase(&mut self) {
-        for d in 0..4 {
-            match &mut self.decks[d] {
-                Some(player) => {
-                    let tempo = if self.decoded_speed[d].abs() > 0.05 {
-                        self.decoded_speed[d].abs()
-                    } else {
-                        self.scenario.decks[d].tempo
-                    };
-                    player.pull(tempo, &mut self.deck_bufs[d]);
-                    self.aux_sink += burn(self.aux.gp_iters, tempo);
-                }
-                None => self.deck_bufs[d].clear(),
-            }
+        // Phase 1 — TP: generate + decode each deck's timecode signal.
+        let t0 = Instant::now();
+        for_each_deck(pool, lanes, &mut self.fronts, |d, front| {
+            front.timecode(d, &scenario.decks[d], cycle, aux.tp_iters);
+        });
+        for front in &self.fronts {
+            self.aux_sink += front.burn;
         }
-        // Phase alignment: the pairwise beat offsets DJ Star displays.
+        let t1 = Instant::now();
+
+        // Phase 2 — GP: pull time-stretched deck audio, then the pairwise
+        // phase alignment DJ Star displays (needs every deck: after the
+        // join).
+        let mut it = self.fronts.iter_mut().zip(self.deck_bufs.iter_mut());
+        let mut decks: [_; 4] = std::array::from_fn(|_| it.next().expect("four decks"));
+        for_each_deck(pool, lanes, &mut decks, |d, (front, out)| {
+            front.preprocess(&scenario.decks[d], aux.gp_iters, out);
+        });
+        for front in self.fronts.iter().filter(|f| f.player.is_some()) {
+            self.aux_sink += front.burn;
+        }
         let mut align = 0.0f32;
         for a in 0..4 {
             for b in (a + 1)..4 {
-                if let (Some(pa), Some(pb)) = (&self.decks[a], &self.decks[b]) {
+                if let (Some(pa), Some(pb)) = (&self.fronts[a].player, &self.fronts[b].player) {
                     align += pa.phase_offset_to(pb);
                 }
             }
         }
         self.aux_sink += align * 1e-20;
+        let gp = t1.elapsed();
+
+        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
+        (t1 - t0, gp)
     }
 
     /// Phase 4 — VC: master tempo and accounting.
@@ -1257,7 +1359,7 @@ impl AudioEngine {
         let mut bpm_sum = 0.0;
         let mut active = 0u32;
         for d in 0..4 {
-            if let Some(p) = &self.decks[d] {
+            if let Some(p) = &self.fronts[d].player {
                 bpm_sum += self.scenario.decks[d].bpm * p.tempo();
                 active += 1;
             }
@@ -1297,26 +1399,19 @@ impl AudioEngine {
 
     /// First half of a venue-batched cycle: run the driver-side phases
     /// that precede the graph (TP, GP, beat clock) and *stage* the graph
-    /// cycle on the shared pool without dispatching it. The venue server
-    /// stages every session, then issues one [`VenuePool::dispatch`] for
-    /// the whole batch, drives lane 0 via [`VenuePool::run_driver_parts`],
-    /// and finishes each session with [`venue_finish`](Self::venue_finish).
+    /// cycle on the shared pool without dispatching it. TP and GP run
+    /// serially here: sessions are staged one by one, and a deck-parallel
+    /// fork would consume the pool epoch an already-staged session waits
+    /// on. The venue server stages every session, then issues one
+    /// [`VenuePool::dispatch`] for the whole batch, drives lane 0 via
+    /// [`VenuePool::run_driver_parts`], and finishes each session with
+    /// [`venue_finish`](Self::venue_finish).
     ///
     /// Sequential engines stage nothing (`epoch: None`); their graph runs
     /// inline on the driver during `venue_finish`, overlapping with the
     /// pool workers crunching the parallel sessions.
     pub fn venue_prepare(&mut self) -> VenueCyclePrep {
-        self.cycle += 1;
-
-        let t0 = Instant::now();
-        self.timecode_phase();
-        let tp = t0.elapsed();
-
-        let t1 = Instant::now();
-        self.preprocess_phase();
-        let gp = t1.elapsed();
-
-        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
+        let (tp, gp) = self.front_end(1);
         let epoch = self.executor.venue_stage(&self.deck_bufs, &self.ctrl);
         VenueCyclePrep { epoch, tp, gp }
     }
@@ -1343,19 +1438,10 @@ impl AudioEngine {
         }
     }
 
-    /// Run one full APC and return the phase timings.
+    /// Run one full APC and return the phase timings. TP and GP run
+    /// deck-parallel on the executor's lanes (see [`ApcTiming`]).
     pub fn run_apc(&mut self) -> ApcTiming {
-        self.cycle += 1;
-
-        let t0 = Instant::now();
-        self.timecode_phase();
-        let tp = t0.elapsed();
-
-        let t1 = Instant::now();
-        self.preprocess_phase();
-        let gp = t1.elapsed();
-
-        self.ctrl[controls::BEAT_CLOCK] = self.beat_clock as f32;
+        let (tp, gp) = self.front_end(self.executor.threads());
         let result = self.executor.run_cycle(&self.deck_bufs, &self.ctrl);
 
         let t3 = Instant::now();
@@ -1493,6 +1579,55 @@ mod tests {
     }
 
     #[test]
+    fn deck_parallel_front_end_keeps_private_state_bit_exact() {
+        use crate::events::{ControlEvent, EventQueue};
+        let pool = Arc::new(VenuePool::new(4));
+        let mut reference = light_engine(Strategy::Sequential, 1);
+        let mut engines = Vec::new();
+        for strategy in [
+            Strategy::Busy,
+            Strategy::Sleep,
+            Strategy::Steal,
+            Strategy::Hybrid,
+            Strategy::Planned,
+        ] {
+            for threads in [2, 4] {
+                engines.push(light_engine(strategy, threads));
+                let (scenario, aux) = (Scenario::light_test(), AuxWork::light());
+                engines.push(AudioEngine::on_pool(
+                    scenario, strategy, threads, aux, &pool,
+                ));
+            }
+        }
+        for cycle in 0..40u64 {
+            let nudge = ControlEvent::Nudge(cycle as usize % 4, 0.2);
+            for e in std::iter::once(&mut reference).chain(engines.iter_mut()) {
+                if cycle % 5 == 2 {
+                    let mut q = EventQueue::standard();
+                    q.push(cycle, nudge);
+                    e.apply_events(&mut q);
+                }
+                e.run_apc();
+            }
+            for e in &engines {
+                let who = (e.strategy(), e.threads(), e.pool.is_some());
+                for d in 0..4 {
+                    assert_eq!(
+                        e.fronts[d].decoded_speed.to_bits(),
+                        reference.fronts[d].decoded_speed.to_bits(),
+                        "{who:?} deck {d} decoded speed diverged at cycle {cycle}"
+                    );
+                }
+                assert_eq!(
+                    e.aux_sink.to_bits(),
+                    reference.aux_sink.to_bits(),
+                    "{who:?} aux sink diverged at cycle {cycle}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn compiled_plan_covers_the_whole_graph() {
         let bp = AudioEngine::compile_plan(&Scenario::light_test(), 4);
         assert_eq!(bp.threads(), 4);
@@ -1626,7 +1761,7 @@ mod tests {
         use crate::events::{ControlEvent, EventQueue};
         let mut e = light_engine(Strategy::Sequential, 1);
         e.warmup(20);
-        let baseline = e.decoded_speed[0];
+        let baseline = e.fronts[0].decoded_speed;
         let mut q = EventQueue::standard();
         q.push(0, ControlEvent::Nudge(0, 0.3));
         e.apply_events(&mut q);
@@ -1634,7 +1769,7 @@ mod tests {
         // a sudden platter acceleration (like a real stylus reading).
         e.run_apc();
         e.run_apc();
-        let nudged = e.decoded_speed[0];
+        let nudged = e.fronts[0].decoded_speed;
         assert!(
             nudged > baseline * 1.06,
             "nudge had no effect: {baseline} -> {nudged}"
@@ -1642,9 +1777,9 @@ mod tests {
         // The nudge decays back.
         e.warmup(80);
         assert!(
-            (e.decoded_speed[0] - baseline).abs() < 0.08,
+            (e.fronts[0].decoded_speed - baseline).abs() < 0.08,
             "nudge did not decay: {}",
-            e.decoded_speed[0]
+            e.fronts[0].decoded_speed
         );
     }
 

@@ -10,12 +10,18 @@
 //! job, never the audio thread's — runs between windows and may
 //! allocate freely.
 //!
+//! A second guard covers the deck-parallel front end: plain `run_apc`
+//! windows on a 2-lane PLAN engine registered on a shared pool, with
+//! paper-scale aux work, so every window forks TP and GP onto the pool.
+//!
 //! Own integration binary for the same reason as `net_alloc.rs`: a
 //! global allocator is process-wide and sibling tests would pollute the
-//! measurement window.
+//! measurement window; the tests here take `SERIAL` so they never
+//! measure concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct CountingAlloc;
 
@@ -40,10 +46,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use djstar_core::exec::Strategy;
+use djstar_core::exec::{Strategy, VenuePool};
 use djstar_engine::apc::{AudioEngine, AuxWork};
 use djstar_engine::reconfig::GraphEdit;
 use djstar_workload::scenario::Scenario;
+
+/// Serializes the tests of this binary (one allocation counter).
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const SWITCHES: usize = 10;
 const CYCLES_PER_SWITCH: usize = 4;
@@ -75,6 +84,7 @@ fn warm_storm(engine: &mut AudioEngine) -> u64 {
 
 #[test]
 fn warm_cache_storm_does_not_allocate_on_the_audio_thread() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut engine =
         AudioEngine::with_aux(Scenario::light_test(), Strategy::Busy, 2, AuxWork::light());
     engine.warmup(20);
@@ -111,4 +121,31 @@ fn warm_cache_storm_does_not_allocate_on_the_audio_thread() {
         "storm was not served from cache: {stats:?}"
     );
     assert_eq!(stats.misses, 0, "a warm storm must never miss: {stats:?}");
+}
+
+#[test]
+fn forked_front_end_cycles_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = Arc::new(VenuePool::new(2));
+    let mut engine = AudioEngine::on_pool(
+        Scenario::light_test(),
+        Strategy::Planned,
+        2,
+        AuxWork::paper_scale(),
+        &pool,
+    );
+    engine.warmup(10);
+    // Same re-measure-once filter as the storm above.
+    let mut measure = || {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..20 {
+            engine.run_apc();
+        }
+        ALLOCATIONS.load(Ordering::SeqCst) - before
+    };
+    let mut allocs = measure();
+    if allocs > 0 {
+        allocs = measure();
+    }
+    assert_eq!(allocs, 0, "forked run_apc allocated {allocs} times");
 }
