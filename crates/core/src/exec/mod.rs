@@ -25,6 +25,10 @@
 //!    state is again owned by the driver (workers increment the counter
 //!    with `Release` as their final access of the cycle).
 //!
+//! Debug builds check steps 3 and 4 on every node of every executor: a
+//! node runs only once each predecessor's `done_epoch` equals the cycle's
+//! epoch, and no node is published twice for one epoch.
+//!
 //! # Generation swaps
 //!
 //! Topology is *generational*: a [`StagedGeneration`] (a fully built
@@ -587,6 +591,12 @@ impl ExecGraph {
         let preds = self.topo.preds(NodeId(node as u32));
         let mut inputs: [&AudioBuf; MAX_INPUTS] = [&self.empty; MAX_INPUTS];
         for (k, &p) in preds.iter().enumerate() {
+            debug_assert_eq!(
+                self.cells[p as usize].done_epoch.load(Ordering::Acquire),
+                ctx.epoch,
+                "node {node} ran before predecessor {p} published epoch {}",
+                ctx.epoch
+            );
             // SAFETY: predecessor is done for this epoch; its executor
             // released the output before the done_epoch store we acquired.
             inputs[k] = &(*self.runtimes[p as usize].0.get()).output;
@@ -601,6 +611,11 @@ impl ExecGraph {
     /// visible to every waiter that `Acquire`s the store).
     #[inline]
     fn publish(&self, node: usize, epoch: u64) {
+        debug_assert_ne!(
+            self.cells[node].done_epoch.load(Ordering::Relaxed),
+            epoch,
+            "node {node} published twice for epoch {epoch}"
+        );
         self.cells[node].done_epoch.store(epoch, Ordering::Release);
     }
 
@@ -1331,6 +1346,28 @@ mod tests {
         assert!(exec.is_done(0, 1));
         assert!(!exec.is_done(0, 2));
         assert_eq!(exec.spin_until_done(0, 1), 0); // already done: no wait
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before predecessor")]
+    fn running_before_a_predecessor_publishes_panics_in_debug() {
+        let mut b = TaskGraphBuilder::new();
+        let a = b.add("a", Section::DeckA, Box::new(Passthrough), &[]);
+        b.add("b", Section::DeckA, Box::new(Passthrough), &[a]);
+        let exec = ExecGraph::new(b.build().unwrap(), 4);
+        unsafe { exec.execute(1, &CycleCtx::bare(1)) };
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "published twice")]
+    fn publishing_a_node_twice_in_one_epoch_panics_in_debug() {
+        let mut b = TaskGraphBuilder::new();
+        b.add("a", Section::DeckA, Box::new(Passthrough), &[]);
+        let exec = ExecGraph::new(b.build().unwrap(), 4);
+        unsafe { exec.execute(0, &CycleCtx::bare(1)) };
+        unsafe { exec.execute(0, &CycleCtx::bare(1)) };
     }
 
     #[test]

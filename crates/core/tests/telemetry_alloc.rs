@@ -83,28 +83,32 @@ fn graph() -> TaskGraph {
 fn telemetry_cycles_do_not_allocate() {
     const FRAMES: usize = 8;
     const THREADS: usize = 3;
-    let execs: Vec<(&str, Box<dyn GraphExecutor>)> = vec![
-        ("SEQ", Box::new(SequentialExecutor::new(graph(), FRAMES))),
-        (
-            "BUSY",
-            Box::new(BusyExecutor::new(graph(), THREADS, FRAMES)),
-        ),
-        (
-            "SLEEP",
-            Box::new(SleepExecutor::new(graph(), THREADS, FRAMES)),
-        ),
-        ("WS", Box::new(StealExecutor::new(graph(), THREADS, FRAMES))),
-        (
-            "HYBRID",
-            Box::new(HybridExecutor::new(graph(), THREADS, FRAMES, 200)),
-        ),
-        ("PLAN", {
+    // Each executor is built just before it is measured and dropped right
+    // after: the counter is process-wide, so idle workers of an executor
+    // built early could otherwise allocate into another one's window.
+    type Build = fn() -> Box<dyn GraphExecutor>;
+    let builds: [(&str, Build); 6] = [
+        ("SEQ", || Box::new(SequentialExecutor::new(graph(), FRAMES))),
+        ("BUSY", || {
+            Box::new(BusyExecutor::new(graph(), THREADS, FRAMES))
+        }),
+        ("SLEEP", || {
+            Box::new(SleepExecutor::new(graph(), THREADS, FRAMES))
+        }),
+        ("WS", || {
+            Box::new(StealExecutor::new(graph(), THREADS, FRAMES))
+        }),
+        ("HYBRID", || {
+            Box::new(HybridExecutor::new(graph(), THREADS, FRAMES, 200))
+        }),
+        ("PLAN", || {
             let g = graph();
             let bp = ScheduleBlueprint::round_robin(g.topology(), THREADS, Priority::Depth);
             Box::new(PlannedExecutor::new(g, FRAMES, bp))
         }),
     ];
-    for (label, mut exec) in execs {
+    for (label, build) in builds {
+        let mut exec = build();
         exec.set_telemetry(true);
         let mut cycles_run = 0u64;
         // Warm up: first telemetry-on cycles may lazily settle thread

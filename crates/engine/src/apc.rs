@@ -35,7 +35,7 @@ use djstar_dsp::buffer::AudioBuf;
 use djstar_dsp::work::burn;
 use djstar_workload::faults::FaultSpec;
 use djstar_workload::scenario::{DeckConfig, Scenario};
-use djstar_workload::track::synth_track;
+use djstar_workload::track::{live_track, shared_track, Track};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -230,6 +230,34 @@ fn for_each_deck<T: Send>(
     }
 }
 
+/// Each deck's track (`None` for inactive decks). Tracks already live in
+/// the process are shared; each missing one is synthesized on a scoped
+/// thread of its own, so a fresh scenario's decks build in parallel.
+fn load_tracks(scenario: &Scenario) -> Vec<Option<Track>> {
+    let secs = scenario.track_secs;
+    std::thread::scope(|s| {
+        let loads: Vec<_> = scenario
+            .decks
+            .iter()
+            .map(|d| {
+                d.active.then(|| {
+                    live_track(d.track_seed, d.bpm, secs, d.style).ok_or_else(|| {
+                        s.spawn(move || shared_track(d.track_seed, d.bpm, secs, d.style))
+                    })
+                })
+            })
+            .collect();
+        loads
+            .into_iter()
+            .map(|load| {
+                load.map(|hit| {
+                    hit.unwrap_or_else(|miss| miss.join().expect("track synthesis panicked"))
+                })
+            })
+            .collect()
+    })
+}
+
 /// The DJ Star engine: decks, timecode, control surface and graph executor.
 pub struct AudioEngine {
     scenario: Scenario,
@@ -399,21 +427,13 @@ impl AudioEngine {
         pool: Option<&Arc<VenuePool>>,
     ) -> Self {
         let frames = djstar_dsp::BUFFER_FRAMES;
-        let (executor, map) =
-            Self::build_executor(&scenario, &shape, strategy, threads, frames, pool);
         let sr = djstar_dsp::SAMPLE_RATE;
-        let fronts = scenario
-            .decks
-            .iter()
-            .map(|d| DeckFront {
-                player: d.active.then(|| {
-                    TrackPlayer::new(synth_track(
-                        d.track_seed,
-                        d.bpm,
-                        scenario.track_secs,
-                        d.style,
-                    ))
-                }),
+        // Load the decks before building the executor: PLAN's compile
+        // probe then finds this engine's tracks live and shares them.
+        let fronts = load_tracks(&scenario)
+            .into_iter()
+            .map(|track| DeckFront {
+                player: track.map(TrackPlayer::new),
                 tc_gen: TimecodeGenerator::new(sr),
                 tc_dec: TimecodeDecoder::new(sr),
                 tc_buf: AudioBuf::zeroed(2, frames),
@@ -422,6 +442,8 @@ impl AudioEngine {
                 burn: 0.0,
             })
             .collect();
+        let (executor, map) =
+            Self::build_executor(&scenario, &shape, strategy, threads, frames, pool);
         let mut ctrl = vec![0.0f32; controls::COUNT];
         ctrl[controls::CROSSFADER] = scenario.crossfader;
         ctrl[controls::MASTER_GAIN] = scenario.master_gain;

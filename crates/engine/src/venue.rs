@@ -165,6 +165,12 @@ impl VenueServer {
     /// list-schedule makespan of its measured graph plus the median of
     /// its measured non-graph phases.
     pub fn probe_session_bound(spec: &SessionSpec) -> u64 {
+        Self::probe(spec).0
+    }
+
+    /// [`probe_session_bound`](Self::probe_session_bound), also returning
+    /// the probe engine, which holds the candidate's tracks.
+    fn probe(spec: &SessionSpec) -> (u64, AudioEngine) {
         let mut probe =
             AudioEngine::with_aux(spec.scenario.clone(), Strategy::Sequential, 1, spec.aux);
         probe.warmup(4);
@@ -189,14 +195,18 @@ impl VenueServer {
         let aux_floor = aux[aux.len() / 2];
         let graph = djstar_sim::SimGraph::from_topology(probe.executor_mut().topology());
         let durations = djstar_sim::DurationModel::Constant(means);
-        djstar_sim::session_bound_ns(&graph, &durations, spec.threads as u32, aux_floor)
+        let bound =
+            djstar_sim::session_bound_ns(&graph, &durations, spec.threads as u32, aux_floor);
+        (bound, probe)
     }
 
     /// Admit `spec` if the venue stays schedulable with it, building its
     /// engine on the shared pool and tagging it with a fresh session id.
     /// Otherwise count and return the rejection.
     pub fn admit(&mut self, spec: SessionSpec) -> Result<u32, AdmissionRejection> {
-        let bound = Self::probe_session_bound(&spec);
+        // The probe lives until the session engine is built, so both play
+        // one synthesis of the candidate's tracks.
+        let (bound, _probe) = Self::probe(&spec);
         self.admit_bounded(spec, bound)
     }
 

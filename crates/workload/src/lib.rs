@@ -23,4 +23,4 @@ pub use netspec::NetSpec;
 pub use profile::WorkProfile;
 pub use scenario::{DeckConfig, Scenario};
 pub use switches::{shape_walk, toggle_storm, SwitchAction, SwitchEvent, SwitchScript};
-pub use track::{synth_track, Track, TrackStyle};
+pub use track::{live_track, shared_track, synth_track, Track, TrackStyle};

@@ -8,6 +8,7 @@
 //! because the effect nodes' data-dependent cost follows signal energy.
 
 use djstar_dsp::rng::SmallRng;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Stylistic presets for the synthesizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,9 +22,13 @@ pub enum TrackStyle {
 }
 
 /// A mono PCM track.
+///
+/// The samples are immutable once synthesized, and cloning a track shares
+/// them (an `Arc` bump, no copy): every deck, engine and probe that plays
+/// the same track reads one buffer.
 #[derive(Debug, Clone)]
 pub struct Track {
-    samples: Vec<f32>,
+    samples: Arc<[f32]>,
     sample_rate: u32,
     bpm: f32,
 }
@@ -135,10 +140,76 @@ pub fn synth_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Trac
         *out = (s * 0.8).clamp(-1.0, 1.0);
     }
     Track {
-        samples,
+        samples: samples.into(),
         sample_rate: sr,
         bpm,
     }
+}
+
+/// The exact inputs of one synthesis (`f32`s by bits).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct TrackKey {
+    seed: u64,
+    bpm: u32,
+    seconds: u32,
+    style: TrackStyle,
+}
+
+impl TrackKey {
+    fn new(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Self {
+        TrackKey {
+            seed,
+            bpm: bpm.to_bits(),
+            seconds: seconds.to_bits(),
+            style,
+        }
+    }
+}
+
+/// One live track: its synthesis inputs, its samples and sample rate.
+type Entry = (TrackKey, Weak<[f32]>, u32);
+
+/// Every track some holder in this process still plays. Entries are weak:
+/// the store never keeps samples alive by itself, so once the last holder
+/// drops a track its memory goes and the next request synthesizes afresh.
+static LIVE: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+
+fn find(live: &[Entry], key: TrackKey, bpm: f32) -> Option<Track> {
+    let (_, weak, sample_rate) = live.iter().find(|(k, ..)| *k == key)?;
+    Some(Track {
+        samples: weak.upgrade()?,
+        sample_rate: *sample_rate,
+        bpm,
+    })
+}
+
+/// The track [`synth_track`] would return for these inputs, if some holder
+/// in this process still has it — sharing its samples. Never synthesizes.
+pub fn live_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Option<Track> {
+    let live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    find(&live, TrackKey::new(seed, bpm, seconds, style), bpm)
+}
+
+/// [`synth_track`], run once per distinct track for as long as it lives: a
+/// track that some holder in this process still has (see [`live_track`])
+/// is shared, and only a miss runs the synthesizer. The content is
+/// bit-identical to `synth_track` either way.
+///
+/// Concurrent misses on one key each synthesize; the first to finish is
+/// stored and the others return its samples, so holders share one buffer.
+pub fn shared_track(seed: u64, bpm: f32, seconds: f32, style: TrackStyle) -> Track {
+    if let Some(track) = live_track(seed, bpm, seconds, style) {
+        return track;
+    }
+    let track = synth_track(seed, bpm, seconds, style);
+    let key = TrackKey::new(seed, bpm, seconds, style);
+    let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(first) = find(&live, key, bpm) {
+        return first;
+    }
+    live.retain(|(k, weak, _)| *k != key && weak.strong_count() > 0);
+    live.push((key, Arc::downgrade(&track.samples), track.sample_rate));
+    track
 }
 
 #[cfg(test)]
@@ -187,6 +258,83 @@ mod tests {
         let h = synth_track(9, 125.0, 4.0, TrackStyle::House);
         let a = synth_track(9, 125.0, 4.0, TrackStyle::Ambient);
         assert!(h.window_rms(0, h.samples().len()) > a.window_rms(0, a.samples().len()));
+    }
+
+    // The store is process-wide and tests run in parallel: every store
+    // test uses seeds no other test asks for.
+
+    #[test]
+    fn shared_track_is_bit_identical_to_synth_track() {
+        for (i, style) in [
+            TrackStyle::House,
+            TrackStyle::Breakbeat,
+            TrackStyle::Ambient,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let seed = 0x5_7A4E_0000 + i as u64;
+            let want = synth_track(seed, 127.5, 1.25, style);
+            let got = shared_track(seed, 127.5, 1.25, style);
+            let bits = |t: &Track| t.samples().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{style:?}");
+            assert_eq!(got.sample_rate(), want.sample_rate());
+            assert_eq!(got.bpm(), want.bpm());
+        }
+    }
+
+    #[test]
+    fn live_holders_share_one_allocation() {
+        let seed = 0x5_7A4E_0010;
+        assert!(live_track(seed, 128.0, 0.5, TrackStyle::House).is_none());
+        let a = shared_track(seed, 128.0, 0.5, TrackStyle::House);
+        let b = shared_track(seed, 128.0, 0.5, TrackStyle::House);
+        let c = live_track(seed, 128.0, 0.5, TrackStyle::House).expect("a is live");
+        assert_eq!(a.samples().as_ptr(), b.samples().as_ptr());
+        assert_eq!(a.samples().as_ptr(), c.samples().as_ptr());
+        assert_eq!(a.clone().samples().as_ptr(), a.samples().as_ptr());
+        // Any input that differs, even by one bit, is another track.
+        let other = shared_track(seed, 128.0f32.next_up(), 0.5, TrackStyle::House);
+        assert_ne!(other.samples().as_ptr(), a.samples().as_ptr());
+        assert!(live_track(seed, 128.0, 0.5, TrackStyle::Ambient).is_none());
+    }
+
+    #[test]
+    fn dropping_every_holder_forces_a_fresh_synthesis() {
+        let seed = 0x5_7A4E_0020;
+        let a = shared_track(seed, 122.0, 0.5, TrackStyle::Breakbeat);
+        let b = a.clone();
+        drop(a);
+        assert!(live_track(seed, 122.0, 0.5, TrackStyle::Breakbeat).is_some());
+        drop(b);
+        // Nothing outlives its last holder, so the next call cannot share.
+        assert!(live_track(seed, 122.0, 0.5, TrackStyle::Breakbeat).is_none());
+        let again = shared_track(seed, 122.0, 0.5, TrackStyle::Breakbeat);
+        let want = synth_track(seed, 122.0, 0.5, TrackStyle::Breakbeat);
+        assert_eq!(again.samples(), want.samples());
+    }
+
+    #[test]
+    fn concurrent_misses_return_identical_samples() {
+        let seed = 0x5_7A4E_0030;
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            [(); 2]
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        shared_track(seed, 131.0, 1.0, TrackStyle::House)
+                    })
+                })
+                .map(|h| h.join().unwrap())
+        });
+        assert_eq!(a.samples(), b.samples());
+        // The slower miss adopts the faster one's samples.
+        assert_eq!(a.samples().as_ptr(), b.samples().as_ptr());
+        assert_eq!(
+            a.samples(),
+            synth_track(seed, 131.0, 1.0, TrackStyle::House).samples()
+        );
     }
 
     #[test]
