@@ -138,7 +138,7 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
             continue;
         }
         let preds = topo.preds(NodeId(node));
-        if tracing || telem || rec {
+        let end = if tracing || telem || rec {
             let w0 = Instant::now();
             let mut spins = 0u64;
             for &p in preds {
@@ -190,6 +190,7 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
                 }
                 shared.record_exec_carved(me, epoch, node, fault_end, t1, net0);
             }
+            t1
         } else {
             for &p in preds {
                 shared.graph().spin_until_done(p as usize, epoch);
@@ -198,9 +199,9 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
                 plan.inject_node(epoch, node, counters);
             }
             // SAFETY: as above.
-            unsafe { shared.graph().execute(node as usize, &ctx) };
-        }
-        shared.node_finished();
+            unsafe { shared.graph().execute_stamped(node as usize, &ctx) }
+        };
+        shared.node_finished(epoch, end);
     }
     if tracing {
         shared.flush_trace(me, events);
@@ -241,8 +242,7 @@ impl GraphExecutor for BusyExecutor {
     }
 
     fn venue_collect(&mut self, epoch: u64) -> CycleResult {
-        self.shared.wait_cycle_done();
-        let end = Instant::now();
+        let end = self.shared.wait_cycle_done(epoch);
         // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
         let start = unsafe { *self.shared.cycle_start.get() };
         let duration = end - start;
@@ -251,7 +251,7 @@ impl GraphExecutor for BusyExecutor {
         }
         if let Some(ring) = self.telemetry.as_mut() {
             // All counter updates happen-before the workers' final
-            // done-count increments, acquired by `wait_cycle_done`.
+            // done-count increments, acquired through `wait_cycle_done`.
             let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
             self.shared.drain_counters(slot);
         }

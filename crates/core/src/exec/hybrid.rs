@@ -241,7 +241,7 @@ pub(crate) fn run_cycle_part(sh: &HybridShared, me: usize, epoch: u64) {
             }
         }
         let net0 = if rec { sh.base.net_ns_of(me) } else { (0, 0) };
-        if tracing || telem || rec {
+        let end = if tracing || telem || rec {
             // SAFETY: exactly-once by static assignment; pending==0 acquired.
             let t1 = unsafe { sh.base.graph().execute_stamped(node as usize, &ctx) };
             if tracing {
@@ -263,10 +263,11 @@ pub(crate) fn run_cycle_part(sh: &HybridShared, me: usize, epoch: u64) {
                 sh.base
                     .record_exec_carved(me, epoch, node, fault_end, t1, net0);
             }
+            t1
         } else {
             // SAFETY: as above.
-            unsafe { sh.base.graph().execute(node as usize, &ctx) };
-        }
+            unsafe { sh.base.graph().execute_stamped(node as usize, &ctx) }
+        };
         for &s in topo.succs(NodeId(node)) {
             let sc = sh.base.graph().cell(s as usize);
             if sc.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -296,7 +297,7 @@ pub(crate) fn run_cycle_part(sh: &HybridShared, me: usize, epoch: u64) {
                 }
             }
         }
-        sh.base.node_finished();
+        sh.base.node_finished(epoch, end);
     }
     if tracing {
         sh.base.flush_trace(me, events);
@@ -339,8 +340,7 @@ impl GraphExecutor for HybridExecutor {
 
     fn venue_collect(&mut self, epoch: u64) -> CycleResult {
         let sh = &self.shared;
-        sh.base.wait_cycle_done();
-        let end = Instant::now();
+        let end = sh.base.wait_cycle_done(epoch);
         // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
         let start = unsafe { *sh.base.cycle_start.get() };
         let duration = end - start;
@@ -349,7 +349,7 @@ impl GraphExecutor for HybridExecutor {
         }
         if let Some(ring) = self.telemetry.as_mut() {
             // Counter updates happen-before the workers' final done-count
-            // increments, acquired by `wait_cycle_done`.
+            // increments, acquired through `wait_cycle_done`.
             let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
             sh.base.drain_counters(slot);
         }

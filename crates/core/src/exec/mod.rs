@@ -20,10 +20,12 @@
 //!    transfers ownership through deque `pop`/`steal` uniqueness, with a
 //!    node entering a deque exactly once (when its pending counter hits
 //!    zero, which `fetch_sub` reports to exactly one caller).
-//! 5. The driver returns from `run_cycle` only after the done-counter
-//!    reaches the node count with `Acquire`, so after `run_cycle` all node
-//!    state is again owned by the driver (workers increment the counter
-//!    with `Release` as their final access of the cycle).
+//! 5. Workers increment the done-counter (`AcqRel`) after each node; the
+//!    increment that reaches the node count belongs to the lane that
+//!    completed the graph, which then stores the cycle's completion stamp
+//!    and publishes it with `Release`. The driver returns from `run_cycle`
+//!    only after acquiring that publication, so after `run_cycle` all node
+//!    state is again owned by the driver.
 //!
 //! Debug builds check steps 3 and 4 on every node of every executor: a
 //! node runs only once each predecessor's `done_epoch` equals the cycle's
@@ -244,27 +246,24 @@ pub trait GraphExecutor: Send {
     /// graph, copy externals, bump the session epoch) WITHOUT dispatching
     /// pool workers, and stage it for the pool's next batch. Returns the
     /// session epoch to pass to [`venue_collect`](Self::venue_collect), or
-    /// `None` when the executor does not run on a pool (Sequential) — the
-    /// caller then runs `run_cycle` inline instead. After staging every
+    /// `None` when the executor is not bound to a pool (a solo
+    /// Sequential) — the caller then runs `run_cycle` inline instead. A
+    /// 1-lane session is placed on the pool lane with the least work
+    /// already staged for the batch (see `exec::pool`). After staging every
     /// session, the caller fires one `VenuePool::dispatch`, runs each
     /// staged session's driver share via `VenuePool::run_driver_parts`,
     /// and collects.
-    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> Option<u64> {
-        let _ = (external_audio, controls);
-        None
-    }
+    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> Option<u64>;
 
     /// Venue path, second half: wait for this session's staged cycle
     /// (published by [`venue_stage`](Self::venue_stage)) to complete and
     /// harvest its timing/telemetry/trace exactly as `run_cycle` would.
+    /// The cycle's duration runs from staging to the session's own graph
+    /// completion, not to this call.
     /// Must only be called with the epoch returned by the matching
     /// `venue_stage`, after the batch was dispatched and the driver parts
-    /// ran. Default panics: executors that return `Some` from
-    /// `venue_stage` override it.
-    fn venue_collect(&mut self, epoch: u64) -> CycleResult {
-        let _ = epoch;
-        unreachable!("venue_collect on an executor that never stages");
-    }
+    /// ran.
+    fn venue_collect(&mut self, epoch: u64) -> CycleResult;
 
     /// Tag this executor's exported telemetry rings and flight windows
     /// with a venue session id (0 = single-session default). Takes effect
@@ -344,12 +343,10 @@ pub trait GraphExecutor: Send {
     fn topology(&self) -> &GraphTopology;
 
     /// The shared worker pool whose lanes run this executor's cycles, or
-    /// `None` for executors that run inline on the driver (Sequential).
+    /// `None` for an executor not bound to one (a solo Sequential).
     /// Callers may [`fork_join`](VenuePool::fork_join) their own per-lane
     /// work on it between cycles.
-    fn pool(&self) -> Option<&Arc<VenuePool>> {
-        None
-    }
+    fn pool(&self) -> Option<&Arc<VenuePool>>;
 }
 
 /// Runtime payload of a node (behind the `UnsafeCell`).
@@ -387,7 +384,8 @@ pub(crate) struct DriverCell<T>(UnsafeCell<T>);
 
 // SAFETY: the epoch protocol (driver writes happen-before the Release epoch
 // store; workers read after the Acquire epoch load; workers' reads complete
-// before their Release done-count increment, which the driver Acquires).
+// before their done-count increment, which the driver acquires through the
+// cycle's completion store).
 unsafe impl<T: Send> Sync for DriverCell<T> {}
 
 impl<T> DriverCell<T> {
@@ -662,23 +660,6 @@ impl ExecGraph {
         carried
     }
 
-    /// Copy a node's output. Driver only, between cycles.
-    pub(crate) fn read_output_internal(&mut self, node: NodeId, dst: &mut AudioBuf) {
-        // `&mut self` proves no cycle is in flight.
-        let rt = self.runtimes[node.idx()].0.get_mut();
-        if rt.output.channels() == dst.channels() && rt.output.frames() == dst.frames() {
-            dst.copy_from(&rt.output);
-        } else {
-            dst.clear();
-            dst.mix_add(&rt.output, 1.0);
-        }
-    }
-
-    /// Mutable processor access. Driver only, between cycles.
-    pub(crate) fn node_processor_internal(&mut self, node: NodeId) -> &mut dyn Processor {
-        self.runtimes[node.idx()].0.get_mut().processor.as_mut()
-    }
-
     /// Copy a node's output through the `UnsafeCell` without `&mut self`.
     ///
     /// # Safety
@@ -750,7 +731,7 @@ pub(crate) struct Shared {
     /// worker polls it between cycles while `done_count` below is being
     /// hammered by finishing workers.
     pub epoch: CachePadded<AtomicU64>,
-    /// Nodes completed this cycle; workers increment with `Release`. The
+    /// Nodes completed this cycle; workers increment with `AcqRel`. The
     /// single most contended atomic of the queue-based executors — it gets
     /// its own cache line.
     pub done_count: CachePadded<AtomicU32>,
@@ -797,6 +778,23 @@ pub(crate) struct Shared {
     /// every worker to pass this barrier before `run_cycle` returns.
     /// Padded for the same reason as `done_count`.
     pub cycle_exited: CachePadded<AtomicU32>,
+    /// Graph completion of the latest finished cycle, stored by the lane
+    /// that completed it and polled by the driver's cycle-done barrier.
+    /// Padded for the same reason as `done_count`.
+    cycle_end: CachePadded<CycleEnd>,
+}
+
+/// When a cycle's graph completed: the end stamp of its last node, taken
+/// before that node's publication (see [`ExecGraph::execute_stamped`]),
+/// stored as nanoseconds after the cycle's start. Written only by the lane
+/// whose completion finished the graph, then published by the `Release`
+/// store of `epoch`; the driver reads `ns` after acquiring `epoch`.
+#[derive(Default)]
+struct CycleEnd {
+    /// Cycle whose completion `ns` holds.
+    epoch: AtomicU64,
+    /// Completion, in ns after the cycle's `cycle_start`.
+    ns: AtomicU64,
 }
 
 impl Shared {
@@ -822,6 +820,7 @@ impl Shared {
                 .collect(),
             trace_flushed: AtomicU32::new(0),
             cycle_exited: CachePadded::new(AtomicU32::new(0)),
+            cycle_end: CachePadded::new(CycleEnd::default()),
         }
     }
 
@@ -1094,11 +1093,14 @@ impl Shared {
         epoch
     }
 
-    /// Driver-side: wait until all nodes finished (spin-then-yield).
-    pub(crate) fn wait_cycle_done(&self) {
-        let n = self.graph().len() as u32;
+    /// Driver-side: wait until the graph of cycle `epoch` completed
+    /// (spin-then-yield) and return its completion stamp — the end of its
+    /// last node, not the moment the driver got here. A driver that ran
+    /// other sessions' parts before collecting this one therefore does not
+    /// bill their time to this cycle.
+    pub(crate) fn wait_cycle_done(&self, epoch: u64) -> Instant {
         let mut spins = 0u32;
-        while self.done_count.load(Ordering::Acquire) != n {
+        while self.cycle_end.epoch.load(Ordering::Acquire) != epoch {
             spins += 1;
             if spins.is_multiple_of(64) {
                 std::thread::yield_now();
@@ -1106,6 +1108,23 @@ impl Shared {
                 core::hint::spin_loop();
             }
         }
+        let ns = self.cycle_end.ns.load(Ordering::Relaxed);
+        // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
+        unsafe { *self.cycle_start.get() + Duration::from_nanos(ns) }
+    }
+
+    /// Lane-side: publish cycle `epoch`'s graph as complete at `end`. Only
+    /// the lane whose completion finished the graph calls this, as its
+    /// last access to the cycle's node state; everything the cycle's lanes
+    /// wrote before their done-count increments happens-before the
+    /// driver's return from [`wait_cycle_done`](Self::wait_cycle_done).
+    pub(crate) fn finish_cycle(&self, epoch: u64, end: Instant) {
+        // SAFETY: the caller holds the epoch edge that published
+        // `cycle_start` for this cycle.
+        let start = unsafe { *self.cycle_start.get() };
+        let ns = end.saturating_duration_since(start).as_nanos() as u64;
+        self.cycle_end.ns.store(ns, Ordering::Relaxed);
+        self.cycle_end.epoch.store(epoch, Ordering::Release);
     }
 
     /// Build the borrowed cycle context for `epoch`.
@@ -1136,11 +1155,20 @@ impl Shared {
         ctx
     }
 
-    /// Record completion of one node; returns `true` when it was the last.
+    /// Record completion of one node of cycle `epoch` whose end stamp
+    /// (from [`ExecGraph::execute_stamped`]) is `end`; returns `true` when
+    /// it was the last, in which case the cycle is published complete at
+    /// `end`. `AcqRel`: the last increment acquires every other lane's
+    /// increment, so the completion store re-publishes all of their writes
+    /// to the driver.
     #[inline]
-    pub(crate) fn node_finished(&self) -> bool {
-        let prev = self.done_count.fetch_add(1, Ordering::Release) + 1;
-        prev == self.graph().len() as u32
+    pub(crate) fn node_finished(&self, epoch: u64, end: Instant) -> bool {
+        let prev = self.done_count.fetch_add(1, Ordering::AcqRel) + 1;
+        let last = prev == self.graph().len() as u32;
+        if last {
+            self.finish_cycle(epoch, end);
+        }
+        last
     }
 
     /// Collect per-worker traces after a traced cycle (driver only).
@@ -1325,13 +1353,13 @@ mod tests {
             &[a],
         );
         let g = b.build().unwrap();
-        let mut exec = ExecGraph::new(g, 8);
+        let exec = ExecGraph::new(g, 8);
         let ctx = CycleCtx::bare(1);
         for &n in exec.topology().queue().to_vec().iter() {
             unsafe { exec.execute(n as usize, &ctx) };
         }
         let mut out = AudioBuf::zeroed(2, 8);
-        exec.read_output_internal(NodeId(1), &mut out);
+        unsafe { exec.read_output_unsync(NodeId(1), &mut out) };
         assert!(out.samples().iter().all(|&s| s == 6.0));
     }
 
@@ -1412,7 +1440,7 @@ mod tests {
             &[],
         );
         let g = b.build().unwrap();
-        let mut exec = ExecGraph::new(g, 4);
+        let exec = ExecGraph::new(g, 4);
         let ext = AudioBuf::from_fn(2, 4, |_, _| 1.0);
         let ctx = CycleCtx {
             epoch: 1,
@@ -1422,7 +1450,7 @@ mod tests {
         };
         unsafe { exec.execute(0, &ctx) };
         let mut out = AudioBuf::zeroed(2, 4);
-        exec.read_output_internal(NodeId(0), &mut out);
+        unsafe { exec.read_output_unsync(NodeId(0), &mut out) };
         assert!(out.samples().iter().all(|&s| s == 0.5));
     }
 }

@@ -430,7 +430,7 @@ pub(crate) fn run_cycle_part(sh: &PlannedShared, me: usize, epoch: u64) {
     let mut events: Vec<RawEvent> = Vec::new();
     for entry in sh.plan().worker(me) {
         let node = entry.node;
-        if tracing || telem || rec {
+        let end = if tracing || telem || rec {
             let w0 = Instant::now();
             let mut spins = 0u64;
             for &p in entry.waits() {
@@ -486,6 +486,7 @@ pub(crate) fn run_cycle_part(sh: &PlannedShared, me: usize, epoch: u64) {
                 sh.base
                     .record_exec_carved(me, epoch, node, fault_end, t1, net0);
             }
+            t1
         } else {
             for &p in entry.waits() {
                 sh.base.graph().spin_until_done(p as usize, epoch);
@@ -494,9 +495,9 @@ pub(crate) fn run_cycle_part(sh: &PlannedShared, me: usize, epoch: u64) {
                 plan.inject_node(epoch, node, counters);
             }
             // SAFETY: as above.
-            unsafe { sh.base.graph().execute(node as usize, &ctx) };
-        }
-        sh.base.node_finished();
+            unsafe { sh.base.graph().execute_stamped(node as usize, &ctx) }
+        };
+        sh.base.node_finished(epoch, end);
     }
     if tracing {
         sh.base.flush_trace(me, events);
@@ -539,8 +540,7 @@ impl GraphExecutor for PlannedExecutor {
 
     fn venue_collect(&mut self, epoch: u64) -> CycleResult {
         let sh = &self.shared;
-        sh.base.wait_cycle_done();
-        let end = Instant::now();
+        let end = sh.base.wait_cycle_done(epoch);
         // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
         let start = unsafe { *sh.base.cycle_start.get() };
         let duration = end - start;
@@ -549,7 +549,7 @@ impl GraphExecutor for PlannedExecutor {
         }
         if let Some(ring) = self.telemetry.as_mut() {
             // All counter updates happen-before the workers' final
-            // done-count increments, acquired by `wait_cycle_done`.
+            // done-count increments, acquired through `wait_cycle_done`.
             let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
             sh.base.drain_counters(slot);
         }

@@ -18,14 +18,20 @@
 //! 2. One [`VenuePool::dispatch`] bumps the pool epoch (`Release`) and
 //!    unparks every pool worker. The pool epoch `Acquire` in the worker
 //!    loop publishes *all* staged-session driver writes at once.
-//! 3. Worker `w` walks the entry table in order and runs lane `w` of every
-//!    session staged for this batch (skipping sessions whose configured
-//!    thread count is ≤ `w`), using that strategy's unchanged
-//!    `run_cycle_part`. The driver does the same for lane 0 (directly, or
-//!    via [`VenuePool::run_driver_parts`]).
-//! 4. Per session, cycle completion is exactly what it always was: the
-//!    driver waits for the session's done-counter (and, for WS, its cycle
-//!    exit barrier).
+//! 3. Worker `w` walks the entry table in order and runs every lane it
+//!    hosts of every session staged for this batch, using that strategy's
+//!    unchanged `run_cycle_part`. The driver does the same as pool lane 0
+//!    (directly, or via [`VenuePool::run_driver_parts`]). A k-lane session
+//!    (k ≥ 2) runs its lane `l` on pool lane `l`. A 1-lane session is
+//!    placed by [`VenuePool::stage`] on the lane with the least work
+//!    already staged for the batch — work being a session's node count
+//!    spread evenly over its lanes, ties going to the lowest lane — so
+//!    placement is a pure function of the staging order.
+//! 4. Per session, the lane whose done-counter increment completes the
+//!    graph publishes the end stamp of that last node; the driver waits
+//!    for it (and, for WS, for the cycle exit barrier) and reports it as
+//!    the cycle's end, so a session's graph time excludes whatever the
+//!    driver ran before collecting it.
 //! 5. [`VenuePool::quiesce`] waits until every worker has finished walking
 //!    the entry table (`exited == workers`). Only after that may the
 //!    driver mutate the entry table (register/unregister), reseed WS
@@ -44,9 +50,13 @@
 //!
 //! Deadlock freedom: driver and workers traverse staged sessions in the
 //! same entry order, and within a session the per-strategy protocols are
-//! unchanged. All park/wake sites already tolerate spurious wakeups, so
-//! cross-session unparks (one OS thread serves the same lane of every
-//! session) are benign.
+//! unchanged. A lane can only wait on another lane of the session it is
+//! running, and every lane reaches that session after finishing the same
+//! earlier entries — each of which finishes: a 1-lane session waits on
+//! nothing outside itself, wherever it is placed, and a multi-lane one by
+//! the same argument one entry earlier. All park/wake sites already
+//! tolerate spurious wakeups, so cross-session unparks (one OS thread
+//! serves the same lane of every session) are benign.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,8 +65,11 @@ use std::thread::JoinHandle;
 use super::hybrid::HybridShared;
 use super::planned::PlannedShared;
 use super::stealing::WsShared;
-use super::{busy, hybrid, planned, sleeping, stealing, DriverCell, Shared};
+use super::{busy, hybrid, planned, sequential, sleeping, stealing, DriverCell, Shared};
 use crate::pad::CachePadded;
+
+/// Most lanes a pool may have.
+const MAX_LANES: usize = 64;
 
 /// Opaque identifier of a session registered on a [`VenuePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,6 +86,7 @@ impl SessionId {
 /// strategy's shared block and routes lane execution to its unchanged
 /// `run_cycle_part`.
 pub(crate) enum SessionState {
+    Sequential(Arc<Shared>),
     Busy(Arc<Shared>),
     Sleep(Arc<Shared>),
     Steal(Arc<WsShared>),
@@ -83,7 +97,7 @@ pub(crate) enum SessionState {
 impl SessionState {
     fn base(&self) -> &Shared {
         match self {
-            SessionState::Busy(sh) | SessionState::Sleep(sh) => sh,
+            SessionState::Sequential(sh) | SessionState::Busy(sh) | SessionState::Sleep(sh) => sh,
             SessionState::Steal(ws) => &ws.base,
             SessionState::Hybrid(hy) => &hy.base,
             SessionState::Planned(pl) => &pl.base,
@@ -102,6 +116,7 @@ impl SessionState {
     /// participant running lane `me` of this session this cycle.
     unsafe fn run_part(&self, me: usize, epoch: u64) {
         match self {
+            SessionState::Sequential(sh) => sequential::run_cycle_part(sh, me, epoch),
             SessionState::Busy(sh) => busy::run_cycle_part(sh, me, epoch),
             SessionState::Sleep(sh) => sleeping::run_cycle_part(sh, me, epoch),
             SessionState::Steal(ws) => stealing::run_cycle_part(ws, me, epoch),
@@ -122,6 +137,41 @@ struct PoolEntry {
     batch_epoch: u64,
     /// The session epoch published by `prepare_cycle` for that batch.
     session_epoch: u64,
+    /// Pool lane that runs the session's lane 0; session lane `l` runs on
+    /// pool lane `first_lane + l`. Always 0 for multi-lane sessions; a
+    /// 1-lane session is placed by [`VenuePool::stage`] each batch.
+    first_lane: usize,
+}
+
+impl PoolEntry {
+    /// The session-local lane that pool lane `lane` runs for this entry,
+    /// if it hosts one.
+    fn local_lane(&self, lane: usize) -> Option<usize> {
+        lane.checked_sub(self.first_lane)
+            .filter(|&l| l < self.state.threads())
+    }
+
+    /// Work the session puts on each lane it occupies: its node count
+    /// spread evenly over its lanes (in 2^-20 nodes, so odd counts split
+    /// without rounding away the half).
+    fn lane_work(&self) -> u64 {
+        const SCALE: u64 = 1 << 20;
+        self.state.base().graph().len() as u64 * SCALE / self.state.threads() as u64
+    }
+}
+
+/// The pool lane (of `lanes`) with the least work staged for batch
+/// `next` among `entries`, ties going to the lowest lane.
+fn least_loaded_lane(entries: &[PoolEntry], next: u64, lanes: usize) -> usize {
+    let mut load = [0u64; MAX_LANES];
+    for e in entries.iter().filter(|e| e.batch_epoch == next) {
+        let w = e.lane_work();
+        for l in &mut load[e.first_lane..e.first_lane + e.state.threads()] {
+            *l += w;
+        }
+    }
+    // `min_by_key` keeps the first of equal minima: the lowest lane.
+    (0..lanes).min_by_key(|&l| load[l]).unwrap_or(0)
 }
 
 /// State shared between the driver and the pool's worker threads.
@@ -173,11 +223,11 @@ fn worker_loop(core: &PoolCore, me: usize) {
         }
         // SAFETY: as above.
         let entries = unsafe { core.entries.get() };
-        for e in entries.iter() {
-            if e.batch_epoch == pe && me < e.state.threads() {
-                // SAFETY: lane `me` of this session's staged cycle is ours
+        for e in entries.iter().filter(|e| e.batch_epoch == pe) {
+            if let Some(lane) = e.local_lane(me) {
+                // SAFETY: this session's lane `lane` runs on pool lane `me`
                 // alone; the epoch edge is held (see above).
-                unsafe { e.state.run_part(me, e.session_epoch) };
+                unsafe { e.state.run_part(lane, e.session_epoch) };
             }
         }
         core.exited.fetch_add(1, Ordering::Release);
@@ -227,7 +277,7 @@ impl VenuePool {
     /// `threads - 1` OS threads are spawned).
     pub fn new(threads: usize) -> Self {
         assert!(
-            (1..=64).contains(&threads),
+            (1..=MAX_LANES).contains(&threads),
             "thread count {threads} out of range"
         );
         let core = Arc::new(PoolCore {
@@ -302,6 +352,7 @@ impl VenuePool {
             state,
             batch_epoch: 0,
             session_epoch: 0,
+            first_lane: 0,
         });
         PoolBinding {
             pool: Arc::clone(self),
@@ -316,17 +367,24 @@ impl VenuePool {
     }
 
     /// Stage `session`'s prepared cycle `session_epoch` for the next batch.
-    /// Driver-only; the previous batch must have been quiesced (the
-    /// executors' `venue_stage` does this).
+    /// A 1-lane session is placed on the lane with the least work already
+    /// staged for that batch (see [`least_loaded_lane`]), so placement
+    /// depends only on the staging order; multi-lane sessions keep lanes
+    /// `0..k`. Driver-only; the previous batch must have been quiesced
+    /// (the executors' `venue_stage` does this).
     pub(crate) fn stage(&self, session: SessionId, session_epoch: u64) {
         debug_assert!(!self.in_flight.load(Ordering::Relaxed));
         let next = self.core.epoch.load(Ordering::Relaxed) + 1;
         // SAFETY: no batch in flight — the table is driver-owned.
         let entries = unsafe { self.core.entries.get_mut() };
-        let e = entries
-            .iter_mut()
-            .find(|e| e.id == session.0)
+        let i = entries
+            .iter()
+            .position(|e| e.id == session.0)
             .expect("staged session is registered");
+        if entries[i].state.threads() == 1 {
+            entries[i].first_lane = least_loaded_lane(entries, next, self.threads);
+        }
+        let e = &mut entries[i];
         e.batch_epoch = next;
         e.session_epoch = session_epoch;
     }
@@ -392,18 +450,20 @@ impl VenuePool {
         f(0);
     }
 
-    /// Run the driver's (lane 0) share of every session staged for the
-    /// current batch, in entry order — the same order the workers use.
+    /// Run the driver's (pool lane 0) share of every session staged for
+    /// the current batch, in entry order — the same order the workers use.
+    /// That is lane 0 of every multi-lane session plus every 1-lane
+    /// session placed on lane 0.
     pub fn run_driver_parts(&self) {
         let pe = self.core.epoch.load(Ordering::Relaxed);
         // SAFETY: the driver published this batch itself; the table is not
         // mutated while the batch is in flight.
         let entries = unsafe { self.core.entries.get() };
-        for e in entries.iter() {
-            if e.batch_epoch == pe {
-                // SAFETY: lane 0 belongs to the driver; we published the
-                // session epoch in `stage`.
-                unsafe { e.state.run_part(0, e.session_epoch) };
+        for e in entries.iter().filter(|e| e.batch_epoch == pe) {
+            if let Some(lane) = e.local_lane(0) {
+                // SAFETY: pool lane 0 belongs to the driver; we published
+                // the session epoch in `stage`.
+                unsafe { e.state.run_part(lane, e.session_epoch) };
             }
         }
     }
@@ -426,6 +486,20 @@ impl VenuePool {
                 core::hint::spin_loop();
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl VenuePool {
+    /// Each registered session's pool lane for its session lane 0, in
+    /// entry (registration) order.
+    fn first_lanes(&self) -> Vec<usize> {
+        assert!(!self.in_flight.load(Ordering::Relaxed));
+        // SAFETY: no batch in flight — the table is driver-owned.
+        unsafe { self.core.entries.get() }
+            .iter()
+            .map(|e| e.first_lane)
+            .collect()
     }
 }
 
@@ -469,11 +543,283 @@ impl Drop for PoolBinding {
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{diamond_sum_graph, fan_graph};
-    use super::super::{BusyExecutor, GraphExecutor, SequentialExecutor, StealExecutor};
+    use super::super::{
+        BusyExecutor, GraphExecutor, HybridExecutor, PlannedExecutor, ScheduleBlueprint,
+        SequentialExecutor, SleepExecutor, StealExecutor,
+    };
     use super::*;
-    use crate::graph::Priority;
+    use crate::graph::{NodeId, Priority, Section, TaskGraph, TaskGraphBuilder};
+    use crate::processor::{CycleCtx, FnProcessor};
+    use djstar_dsp::AudioBuf;
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     const FRAMES: usize = 64;
+
+    /// A session on the pool beside a solo sequential reference over an
+    /// identical graph, stepped in lockstep.
+    struct Checked {
+        ex: Box<dyn GraphExecutor>,
+        reference: SequentialExecutor,
+    }
+
+    impl Checked {
+        fn new(
+            graph: impl Fn() -> TaskGraph,
+            ex: impl FnOnce(TaskGraph) -> Box<dyn GraphExecutor>,
+        ) -> Self {
+            Checked {
+                ex: ex(graph()),
+                reference: SequentialExecutor::new(graph(), FRAMES),
+            }
+        }
+
+        /// Advance the reference one cycle and require the session's sink
+        /// to match it bit for bit.
+        fn check(&mut self) {
+            self.reference.run_cycle(&[], &[]);
+            let sink = NodeId(self.ex.topology().len() as u32 - 1);
+            let mut got = AudioBuf::zeroed(2, FRAMES);
+            let mut want = AudioBuf::zeroed(2, FRAMES);
+            self.ex.read_output(sink, &mut got);
+            self.reference.read_output(sink, &mut want);
+            assert_eq!(got.samples(), want.samples());
+        }
+    }
+
+    /// One venue batch: stage `sessions` in slice order, dispatch, run the
+    /// driver parts, collect (after `delay`), quiesce. Returns every
+    /// registered session's placement and each session's graph time.
+    fn batch(
+        pool: &VenuePool,
+        sessions: &mut [Checked],
+        delay: Duration,
+    ) -> (Vec<usize>, Vec<Duration>) {
+        let epochs: Vec<u64> = sessions
+            .iter_mut()
+            .map(|s| s.ex.venue_stage(&[], &[]).expect("pooled sessions stage"))
+            .collect();
+        let lanes = pool.first_lanes();
+        pool.dispatch();
+        pool.run_driver_parts();
+        std::thread::sleep(delay);
+        let times = sessions
+            .iter_mut()
+            .zip(epochs)
+            .map(|(s, e)| s.ex.venue_collect(e).duration)
+            .collect();
+        pool.quiesce();
+        for s in sessions.iter_mut() {
+            s.check();
+        }
+        (lanes, times)
+    }
+
+    fn seq(pool: &Arc<VenuePool>, width: usize) -> Checked {
+        Checked::new(
+            || fan_graph(width),
+            |g| Box::new(SequentialExecutor::with_pool(g, FRAMES, pool)),
+        )
+    }
+
+    fn busy(pool: &Arc<VenuePool>, width: usize, lanes: usize) -> Checked {
+        Checked::new(
+            || fan_graph(width),
+            |g| {
+                Box::new(BusyExecutor::with_pool(
+                    g,
+                    lanes,
+                    FRAMES,
+                    Priority::Depth,
+                    pool,
+                ))
+            },
+        )
+    }
+
+    /// A one-node graph whose node logs the name of the thread running it.
+    fn thread_logging_graph(log: &Arc<Mutex<Vec<String>>>) -> TaskGraph {
+        let log = Arc::clone(log);
+        let mut b = TaskGraphBuilder::new();
+        b.add(
+            "where",
+            Section::Master,
+            Box::new(FnProcessor(
+                move |_: &[&AudioBuf], out: &mut AudioBuf, _: &CycleCtx<'_>| {
+                    let me = std::thread::current();
+                    log.lock()
+                        .unwrap()
+                        .push(me.name().unwrap_or("?").to_string());
+                    out.samples_mut().fill(1.0);
+                },
+            )),
+            &[],
+        );
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn two_one_lane_sessions_land_on_lanes_0_and_1() {
+        let pool = Arc::new(VenuePool::new(2));
+        let mut sessions = [seq(&pool, 7), seq(&pool, 7)];
+        for _ in 0..20 {
+            let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+            assert_eq!(lanes, [0, 1]);
+        }
+        // The lanes are real threads: the second session runs on the
+        // pool worker, the first on the driver.
+        let logs: Vec<_> = (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+        let mut a = SequentialExecutor::with_pool(thread_logging_graph(&logs[0]), FRAMES, &pool);
+        let mut b = SequentialExecutor::with_pool(thread_logging_graph(&logs[1]), FRAMES, &pool);
+        for _ in 0..5 {
+            let ea = a.venue_stage(&[], &[]).unwrap();
+            let eb = b.venue_stage(&[], &[]).unwrap();
+            pool.dispatch();
+            pool.run_driver_parts();
+            a.venue_collect(ea);
+            b.venue_collect(eb);
+        }
+        let driver = std::thread::current().name().unwrap_or("?").to_string();
+        assert_eq!(*logs[0].lock().unwrap(), vec![driver.clone(); 5]);
+        assert_eq!(*logs[1].lock().unwrap(), vec!["venue-worker-1"; 5]);
+        // Run inline, a pooled sequential executor stays on the caller.
+        b.run_cycle(&[], &[]);
+        assert_eq!(logs[1].lock().unwrap().last().unwrap(), &driver);
+    }
+
+    #[test]
+    fn one_lane_session_after_a_two_lane_one_lands_on_lane_0() {
+        let pool = Arc::new(VenuePool::new(2));
+        let mut sessions = [busy(&pool, 9, 2), seq(&pool, 5)];
+        for _ in 0..20 {
+            let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+            assert_eq!(lanes, [0, 0], "equal lane loads tie to lane 0");
+        }
+    }
+
+    #[test]
+    fn mixed_three_lane_table_is_placed_deterministically() {
+        let pool = Arc::new(VenuePool::new(3));
+        // Nodes: fan(8) = 19 (9.5 per lane on lanes 0-1), fan(4) = 9,
+        // fan(2) = 5, diamond = 4, fan(1) = 2. Loads after each stage:
+        // [9.5, 9.5, 0] -> 9 on lane 2 -> [9.5, 9.5, 9] -> 5 on lane 2
+        // -> [9.5, 9.5, 14] -> 4 on lane 0 (tie) -> [13.5, 9.5, 14]
+        // -> 2 on lane 1.
+        let mut sessions = [
+            busy(&pool, 8, 2),
+            seq(&pool, 4),
+            seq(&pool, 2),
+            Checked::new(diamond_sum_graph, |g| {
+                Box::new(SequentialExecutor::with_pool(g, FRAMES, &pool))
+            }),
+            seq(&pool, 1),
+        ];
+        for _ in 0..20 {
+            let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+            assert_eq!(lanes, [0, 2, 2, 0, 1]);
+        }
+        // Staging order, not registration order, decides: staged in
+        // reverse, the 1-lane sessions fill the empty lanes first.
+        sessions.reverse();
+        let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+        // Reverse stage order: fan(1) -> 0, diamond -> 1, fan(2) -> 2,
+        // fan(4) -> 0 ([2, 4, 5]), then the 2-lane session keeps 0-1.
+        assert_eq!(lanes, [0, 0, 2, 1, 0]);
+    }
+
+    #[test]
+    fn unregister_and_reregister_replaces_sessions() {
+        let pool = Arc::new(VenuePool::new(2));
+        let mut sessions = vec![seq(&pool, 4), seq(&pool, 2)];
+        let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+        assert_eq!(lanes, [0, 1]);
+        sessions.remove(0);
+        let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+        assert_eq!(lanes, [0], "alone, the survivor moves to lane 0");
+        sessions.push(seq(&pool, 8));
+        let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+        assert_eq!(lanes, [0, 1]);
+        sessions.swap(0, 1);
+        let (lanes, _) = batch(&pool, &mut sessions, Duration::ZERO);
+        assert_eq!(lanes, [1, 0], "the first staged session takes lane 0");
+        assert_eq!(pool.sessions(), 2);
+    }
+
+    #[test]
+    fn staged_graph_time_ends_at_the_sessions_completion() {
+        // The driver collects every session only after a deliberate delay;
+        // each reported graph time must end at the session's own
+        // completion instead of absorbing the delay.
+        const DELAY: Duration = Duration::from_millis(50);
+        let pool = Arc::new(VenuePool::new(2));
+        let plan = |g: TaskGraph| -> Box<dyn GraphExecutor> {
+            let bp = ScheduleBlueprint::round_robin(g.topology(), 2, Priority::Depth);
+            Box::new(PlannedExecutor::with_pool(g, FRAMES, bp, &pool))
+        };
+        let mut sessions = [
+            seq(&pool, 5),
+            seq(&pool, 5),
+            busy(&pool, 5, 2),
+            Checked::new(
+                || fan_graph(5),
+                |g| {
+                    Box::new(SleepExecutor::with_pool(
+                        g,
+                        2,
+                        FRAMES,
+                        Priority::Depth,
+                        &pool,
+                    ))
+                },
+            ),
+            Checked::new(
+                || fan_graph(5),
+                |g| {
+                    Box::new(StealExecutor::with_pool(
+                        g,
+                        2,
+                        FRAMES,
+                        Priority::Depth,
+                        &pool,
+                    ))
+                },
+            ),
+            Checked::new(
+                || fan_graph(5),
+                |g| {
+                    Box::new(HybridExecutor::with_pool(
+                        g,
+                        2,
+                        FRAMES,
+                        2_000,
+                        Priority::Depth,
+                        &pool,
+                    ))
+                },
+            ),
+            Checked::new(|| fan_graph(5), plan),
+        ];
+        sessions[0].ex.set_telemetry(true);
+        sessions[1].ex.set_flight_recorder(Some(Default::default()));
+        for _ in 0..5 {
+            let (_, times) = batch(&pool, &mut sessions, DELAY);
+            for (s, t) in sessions.iter().zip(times) {
+                assert!(
+                    t < DELAY,
+                    "{}: graph time {t:?} absorbed the delay",
+                    s.ex.strategy().label()
+                );
+            }
+        }
+        let ring = sessions[0].ex.take_telemetry().unwrap();
+        assert!(ring.iter().all(|r| r.graph_ns < DELAY.as_nanos() as u64));
+        let window = sessions[1].ex.take_flight_window().unwrap();
+        assert_eq!(window.cycles.len(), 5);
+        assert!(window
+            .cycles
+            .iter()
+            .all(|c| c.end_ns - c.start_ns < DELAY.as_nanos() as u64));
+    }
 
     #[test]
     fn two_sessions_share_one_pool() {

@@ -4,105 +4,190 @@
 //! inserted according to their depth in the dependency graph … single nodes
 //! can simply be removed from the queue in the same order (FIFO) during
 //! graph execution and processed sequentially."
+//!
+//! One FIFO loop serves both ways a sequential graph runs: inline on the
+//! calling thread ([`GraphExecutor::run_cycle`], the solo and `run_apc`
+//! path), and — for an executor bound to a [`VenuePool`] with
+//! [`SequentialExecutor::with_pool`] — as a one-lane venue session that the
+//! pool places on its least-loaded lane of the batch (see `exec::pool`), so
+//! it overlaps the other sessions instead of running on the driver after
+//! them.
 
+use super::pool::{PoolBinding, SessionState, VenuePool};
 use super::{
-    CycleResult, ExecGraph, GraphExecutor, RawEvent, StagedGeneration, Strategy, SwapError,
+    CycleResult, ExecGraph, GraphExecutor, RawEvent, Shared, StagedGeneration, Strategy, SwapError,
 };
 use crate::faults::FaultPlan;
-use crate::flight::{CycleStamp, FlightConfig, FlightRecorder, FlightWindow, Span, SpanKind};
-use crate::graph::{GraphTopology, NodeId, TaskGraph};
+use crate::flight::{FlightConfig, FlightWindow, Span, SpanKind};
+use crate::graph::{GraphTopology, NodeId, Priority, TaskGraph};
 use crate::processor::{CycleCtx, Processor};
-use crate::telemetry::{CycleCounters, TelemetryRing, DEFAULT_RING_CAPACITY};
+use crate::telemetry::{TelemetryRing, DEFAULT_RING_CAPACITY};
 use crate::trace::{ScheduleTrace, TraceKind};
 use djstar_dsp::AudioBuf;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Single-threaded FIFO execution of the depth-sorted queue.
 pub struct SequentialExecutor {
-    exec: ExecGraph,
-    epoch: u64,
-    generation: u64,
+    /// The graph and its recording sinks, as lane 0 of a one-lane session.
+    shared: Arc<Shared>,
+    /// Venue pool membership; `None` for a solo executor.
+    pool: Option<PoolBinding>,
     tracing: bool,
     last_trace: Option<ScheduleTrace>,
-    counters: CycleCounters,
     telemetry: Option<TelemetryRing>,
-    faults: Option<FaultPlan>,
-    flight: Option<FlightRecorder>,
     session: u32,
 }
 
-/// Record a span on the single worker lane.
-#[inline]
-fn rec_span(r: &FlightRecorder, cycle: u64, node: u32, kind: SpanKind, t0: Instant, t1: Instant) {
-    let span = Span {
-        cycle,
-        node,
-        worker: 0,
-        start_ns: r.now_ns(t0),
-        end_ns: r.now_ns(t1),
-        kind,
-    };
-    // SAFETY: single-threaded executor — lane 0 has exactly one writer.
-    unsafe { r.record(0, span) };
-}
-
-/// Record the execution interval of `node`, carving any net wait/conceal
-/// time its processor booked (counter deltas vs `net0`) into `NetWait` /
-/// `Conceal` spans; the three spans tile `[t0, t1]` exactly.
-fn rec_exec_carved(
-    r: &FlightRecorder,
-    counters: &CycleCounters,
-    cycle: u64,
-    node: u32,
-    t0: Instant,
-    t1: Instant,
-    net0: (u64, u64),
-) {
-    let (w1, c1) = counters.net_ns();
-    let (wait, conceal) = (w1.wrapping_sub(net0.0), c1.wrapping_sub(net0.1));
-    if wait == 0 && conceal == 0 {
-        rec_span(r, cycle, node, SpanKind::Exec, t0, t1);
-        return;
-    }
-    let s = r.now_ns(t0);
-    let e = r.now_ns(t1);
-    let wait_end = s.saturating_add(wait).min(e);
-    let conceal_end = wait_end.saturating_add(conceal).min(e);
-    for (kind, start_ns, end_ns) in [
-        (SpanKind::NetWait, s, wait_end),
-        (SpanKind::Conceal, wait_end, conceal_end),
-        (SpanKind::Exec, conceal_end, e),
-    ] {
-        if end_ns > start_ns {
-            let span = Span {
-                cycle,
-                node,
-                worker: 0,
-                start_ns,
-                end_ns,
-                kind,
-            };
-            // SAFETY: single-threaded executor — lane 0 has one writer.
-            unsafe { r.record(0, span) };
+/// The FIFO loop: run every node of `sh`'s graph in queue order for
+/// `ctx.epoch` on the session's single lane, feeding whichever sinks are
+/// armed — `events` (schedule trace), telemetry counters, the flight
+/// recorder — and injecting the installed faults.
+fn run_queue(sh: &Shared, ctx: &CycleCtx<'_>, mut events: Option<&mut Vec<RawEvent>>) {
+    let epoch = ctx.epoch;
+    let telem = sh.telemetry.load(Ordering::Relaxed);
+    let rec = sh.flight_on();
+    let counters = &sh.counters[0];
+    let faults = sh.fault_plan();
+    let exec = sh.graph();
+    // The single lane absorbs every stall lane.
+    if let Some(plan) = faults {
+        if rec {
+            let s0 = Instant::now();
+            if plan.inject_stalls(epoch, 0, 1, counters) > 0 {
+                sh.record_span(0, epoch, Span::NO_NODE, SpanKind::Fault, s0, Instant::now());
+            }
+        } else {
+            plan.inject_stalls(epoch, 0, 1, counters);
         }
     }
+    if events.is_some() || telem || rec {
+        for &n in exec.topology().queue() {
+            let t0 = Instant::now();
+            let mut fault_end = t0;
+            if let Some(plan) = faults {
+                let injected = plan.inject_node(epoch, n, counters);
+                if rec && injected > 0 {
+                    fault_end = Instant::now();
+                }
+            }
+            let net0 = if rec { sh.net_ns_of(0) } else { (0, 0) };
+            // SAFETY: one lane executes every node in queue order, which is
+            // a valid topological order.
+            let t1 = unsafe { exec.execute_stamped(n as usize, ctx) };
+            if telem {
+                counters.add_exec((t1 - t0).as_nanos() as u64);
+            }
+            if rec {
+                if fault_end > t0 {
+                    sh.record_span(0, epoch, n, SpanKind::Fault, t0, fault_end);
+                }
+                sh.record_exec_carved(0, epoch, n, fault_end, t1, net0);
+            }
+            if let Some(events) = events.as_deref_mut() {
+                events.push(RawEvent {
+                    node: n,
+                    kind: TraceKind::Exec,
+                    start: t0,
+                    end: t1,
+                });
+            }
+        }
+    } else {
+        for &n in exec.topology().queue() {
+            if let Some(plan) = faults {
+                plan.inject_node(epoch, n, counters);
+            }
+            // SAFETY: as above.
+            unsafe { exec.execute(n as usize, ctx) };
+        }
+    }
+}
+
+/// Run a staged venue cycle `epoch` on whichever pool lane the batch
+/// placed this session on (`me` is the session-local lane, always 0).
+pub(crate) fn run_cycle_part(sh: &Shared, me: usize, epoch: u64) {
+    debug_assert_eq!(me, 0, "a sequential session has one lane");
+    let counted = sh.telemetry.load(Ordering::Relaxed) || sh.flight_on();
+    // SAFETY: epoch acquired (worker via the pool batch epoch, driver
+    // trivially).
+    let ctx = if counted {
+        unsafe { sh.ctx_counted(epoch, 0) }
+    } else {
+        unsafe { sh.ctx(epoch) }
+    };
+    let mut events = sh
+        .tracing
+        .load(Ordering::Relaxed)
+        .then(|| Vec::with_capacity(sh.graph().len()));
+    run_queue(sh, &ctx, events.as_mut());
+    let end = Instant::now();
+    if let Some(events) = events {
+        sh.flush_trace(0, events);
+    }
+    sh.finish_cycle(epoch, end);
 }
 
 impl SequentialExecutor {
     /// Build a sequential executor over `graph` with `frames`-frame buffers.
     pub fn new(graph: TaskGraph, frames: usize) -> Self {
+        Self::build(Self::shared(graph, frames), None)
+    }
+
+    /// Like [`new`](Self::new), but registered on a shared [`VenuePool`]
+    /// as a one-lane session: [`run_cycle`](GraphExecutor::run_cycle) still
+    /// runs inline, while venue cycles
+    /// ([`venue_stage`](GraphExecutor::venue_stage)) run on the pool lane
+    /// the batch places the session on.
+    pub fn with_pool(graph: TaskGraph, frames: usize, pool: &Arc<VenuePool>) -> Self {
+        let shared = Self::shared(graph, frames);
+        // SAFETY: no cycle in flight yet.
+        unsafe { shared.handles.set(pool.session_handles(1)) };
+        let binding = pool.register(SessionState::Sequential(Arc::clone(&shared)));
+        Self::build(shared, Some(binding))
+    }
+
+    fn shared(graph: TaskGraph, frames: usize) -> Arc<Shared> {
+        Arc::new(Shared::new(
+            ExecGraph::new(graph, frames),
+            1,
+            Priority::Depth,
+        ))
+    }
+
+    fn build(shared: Arc<Shared>, pool: Option<PoolBinding>) -> Self {
         SequentialExecutor {
-            exec: ExecGraph::new(graph, frames),
-            epoch: 0,
-            generation: 0,
+            shared,
+            pool,
             tracing: false,
             last_trace: None,
-            counters: CycleCounters::new(),
             telemetry: None,
-            faults: None,
-            flight: None,
             session: 0,
         }
+    }
+
+    /// Wait until no pool batch is in flight (bound executors), so the
+    /// session state is driver-owned.
+    fn quiesce(&self) {
+        if let Some(binding) = &self.pool {
+            binding.pool().quiesce();
+        }
+    }
+
+    /// Stamp and account a finished cycle `[start, end]`.
+    fn harvest(&mut self, epoch: u64, start: Instant, end: Instant) -> CycleResult {
+        let duration = end - start;
+        if self.shared.flight_on() {
+            self.shared.stamp_cycle(epoch, end);
+        }
+        if let Some(ring) = self.telemetry.as_mut() {
+            // Inline: our own writes. Staged: the lane's counter updates
+            // precede its completion store, acquired by `wait_cycle_done`.
+            let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
+            self.shared.drain_counters(slot);
+        }
+        CycleResult { duration }
     }
 }
 
@@ -116,118 +201,55 @@ impl GraphExecutor for SequentialExecutor {
     }
 
     fn run_cycle(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> CycleResult {
-        self.epoch += 1;
+        self.quiesce();
+        let sh = &*self.shared;
+        // Driver-only counter: staged cycles carry their epoch in the pool
+        // entry.
+        let epoch = sh.epoch.load(Ordering::Relaxed) + 1;
+        sh.epoch.store(epoch, Ordering::Relaxed);
         let telem = self.telemetry.is_some();
-        let rec = self.flight.is_some();
+        sh.telemetry.store(telem, Ordering::Relaxed);
         let ctx = CycleCtx {
-            epoch: self.epoch,
+            epoch,
             external_audio,
             controls,
-            counters: (telem || rec).then_some(&self.counters),
+            counters: (telem || sh.flight_on()).then_some(&sh.counters[0]),
         };
-        let flight = self.flight.as_ref();
-        let faults = self.faults.as_ref();
+        let mut events = self.tracing.then(|| Vec::with_capacity(sh.graph().len()));
         let start = Instant::now();
-        // The single worker absorbs every stall lane.
-        if let Some(plan) = faults {
-            if rec {
-                let s0 = Instant::now();
-                if plan.inject_stalls(self.epoch, 0, 1, &self.counters) > 0 {
-                    if let Some(r) = flight {
-                        rec_span(
-                            r,
-                            self.epoch,
-                            Span::NO_NODE,
-                            SpanKind::Fault,
-                            s0,
-                            Instant::now(),
-                        );
-                    }
-                }
-            } else {
-                plan.inject_stalls(self.epoch, 0, 1, &self.counters);
-            }
-        }
-        if self.tracing {
-            let mut events = Vec::with_capacity(self.exec.len());
-            for &n in self.exec.topology().queue() {
-                let t0 = Instant::now();
-                let mut fault_end = t0;
-                if let Some(plan) = faults {
-                    let injected = plan.inject_node(self.epoch, n, &self.counters);
-                    if rec && injected > 0 {
-                        fault_end = Instant::now();
-                    }
-                }
-                let net0 = if rec { self.counters.net_ns() } else { (0, 0) };
-                // SAFETY: single thread executes every node in queue order,
-                // which is a valid topological order.
-                let t1 = unsafe { self.exec.execute_stamped(n as usize, &ctx) };
-                if telem {
-                    self.counters.add_exec((t1 - t0).as_nanos() as u64);
-                }
-                if let Some(r) = flight {
-                    if fault_end > t0 {
-                        rec_span(r, self.epoch, n, SpanKind::Fault, t0, fault_end);
-                    }
-                    rec_exec_carved(r, &self.counters, self.epoch, n, fault_end, t1, net0);
-                }
-                events.push(RawEvent {
-                    node: n,
-                    kind: TraceKind::Exec,
-                    start: t0,
-                    end: t1,
-                });
-            }
-            self.last_trace = Some(super::finish_trace(1, start, vec![(0, events)]));
-        } else if telem || rec {
-            for &n in self.exec.topology().queue() {
-                let t0 = Instant::now();
-                let mut fault_end = t0;
-                if let Some(plan) = faults {
-                    let injected = plan.inject_node(self.epoch, n, &self.counters);
-                    if rec && injected > 0 {
-                        fault_end = Instant::now();
-                    }
-                }
-                let net0 = if rec { self.counters.net_ns() } else { (0, 0) };
-                // SAFETY: as above.
-                let t1 = unsafe { self.exec.execute_stamped(n as usize, &ctx) };
-                if telem {
-                    self.counters.add_exec((t1 - t0).as_nanos() as u64);
-                }
-                if let Some(r) = flight {
-                    if fault_end > t0 {
-                        rec_span(r, self.epoch, n, SpanKind::Fault, t0, fault_end);
-                    }
-                    rec_exec_carved(r, &self.counters, self.epoch, n, fault_end, t1, net0);
-                }
-            }
-        } else {
-            for &n in self.exec.topology().queue() {
-                if let Some(plan) = faults {
-                    plan.inject_node(self.epoch, n, &self.counters);
-                }
-                // SAFETY: as above.
-                unsafe { self.exec.execute(n as usize, &ctx) };
-            }
-        }
+        // SAFETY: driver between cycles, pool quiescent.
+        unsafe { sh.cycle_start.set(start) };
+        run_queue(sh, &ctx, events.as_mut());
         let end = Instant::now();
-        let duration = end - start;
-        if let Some(r) = self.flight.as_ref() {
-            let stamp = CycleStamp {
-                cycle: self.epoch,
-                start_ns: r.now_ns(start),
-                end_ns: r.now_ns(end),
-            };
-            // SAFETY: single-threaded executor — only the driver stamps.
-            unsafe { r.stamp(stamp) };
+        if let Some(events) = events {
+            self.last_trace = Some(super::finish_trace(1, start, vec![(0, events)]));
         }
-        if let Some(ring) = self.telemetry.as_mut() {
-            let slot = ring.begin_push(self.epoch, duration.as_nanos() as u64);
-            self.counters.drain_into(&mut slot[0]);
+        self.harvest(epoch, start, end)
+    }
+
+    fn venue_stage(&mut self, external_audio: &[AudioBuf], controls: &[f32]) -> Option<u64> {
+        let binding = self.pool.as_ref()?;
+        binding.pool().quiesce();
+        let sh = &self.shared;
+        sh.tracing.store(self.tracing, Ordering::Relaxed);
+        sh.telemetry
+            .store(self.telemetry.is_some(), Ordering::Relaxed);
+        // SAFETY: driver thread, no cycle in flight (`&mut self`), pool
+        // quiescent.
+        let epoch = unsafe { sh.prepare_cycle(external_audio, controls) };
+        binding.stage(epoch);
+        Some(epoch)
+    }
+
+    fn venue_collect(&mut self, epoch: u64) -> CycleResult {
+        let end = self.shared.wait_cycle_done(epoch);
+        // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
+        let start = unsafe { *self.shared.cycle_start.get() };
+        if self.tracing {
+            self.shared.wait_trace_flushed();
+            self.last_trace = Some(self.shared.collect_trace());
         }
-        CycleResult { duration }
+        self.harvest(epoch, start, end)
     }
 
     fn set_session(&mut self, session: u32) {
@@ -276,41 +298,53 @@ impl GraphExecutor for SequentialExecutor {
     }
 
     fn set_faults(&mut self, plan: Option<FaultPlan>) {
-        self.faults = plan;
+        self.quiesce();
+        // SAFETY: driver-only between cycles (`&mut self`), pool quiescent.
+        unsafe { self.shared.faults.set(plan) };
     }
 
     fn set_flight_recorder(&mut self, cfg: Option<FlightConfig>) {
-        self.flight = cfg.map(|c| FlightRecorder::new(1, c));
+        self.quiesce();
+        self.shared.install_recorder(cfg);
     }
 
     fn take_flight_window(&mut self) -> Option<FlightWindow> {
-        self.flight.as_mut().map(|r| r.take_window())
+        self.quiesce();
+        self.shared.take_window()
     }
 
     fn adopt_generation(&mut self, staged: StagedGeneration) -> Result<u64, SwapError> {
-        let (mut exec, _plan) = staged.into_parts();
-        exec.carry_over_from(&mut self.exec);
-        self.exec = exec;
-        // The epoch keeps counting: nothing in the fresh graph can claim to
-        // be done for a past or future cycle.
-        self.generation += 1;
-        Ok(self.generation)
+        let (exec, _plan) = staged.into_parts();
+        self.quiesce();
+        // SAFETY: `&mut self` proves no cycle in flight; the pool is
+        // quiescent. The epoch keeps counting: nothing in the fresh graph
+        // can claim to be done for a past or future cycle.
+        Ok(unsafe { self.shared.adopt_exec(exec) })
     }
 
     fn generation(&self) -> u64 {
-        self.generation
+        self.shared.generation.load(Ordering::Relaxed)
     }
 
     fn read_output(&mut self, node: NodeId, dst: &mut AudioBuf) {
-        self.exec.read_output_internal(node, dst);
+        self.quiesce();
+        // SAFETY: `&mut self` proves no cycle in flight; the pool is
+        // quiescent.
+        unsafe { self.shared.graph().read_output_unsync(node, dst) };
     }
 
     fn node_processor(&mut self, node: NodeId) -> &mut dyn Processor {
-        self.exec.node_processor_internal(node)
+        self.quiesce();
+        // SAFETY: as in `read_output`.
+        unsafe { self.shared.graph().node_processor_unsync(node) }
     }
 
     fn topology(&self) -> &GraphTopology {
-        self.exec.topology()
+        self.shared.graph().topology()
+    }
+
+    fn pool(&self) -> Option<&Arc<VenuePool>> {
+        self.pool.as_ref().map(PoolBinding::pool)
     }
 }
 

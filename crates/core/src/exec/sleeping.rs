@@ -165,7 +165,7 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
         if k % shared.threads != me {
             continue;
         }
-        if tracing || telem || rec {
+        let end = if tracing || telem || rec {
             let w0 = Instant::now();
             if let Some(parks) = sleep_until_ready(shared, node as usize, me) {
                 let w1 = Instant::now();
@@ -213,14 +213,15 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
                 }
                 shared.record_exec_carved(me, epoch, node, fault_end, t1, net0);
             }
+            t1
         } else {
             sleep_until_ready(shared, node as usize, me);
             if let Some(plan) = faults {
                 plan.inject_node(epoch, node, counters);
             }
             // SAFETY: as above.
-            unsafe { shared.graph().execute(node as usize, &ctx) };
-        }
+            unsafe { shared.graph().execute_stamped(node as usize, &ctx) }
+        };
         // Signal successors; wake the registered executor of any successor
         // whose last dependency this was.
         for &s in topo.succs(NodeId(node)) {
@@ -252,7 +253,7 @@ pub(crate) fn run_cycle_part(shared: &Shared, me: usize, epoch: u64) {
                 }
             }
         }
-        shared.node_finished();
+        shared.node_finished(epoch, end);
     }
     if tracing {
         shared.flush_trace(me, events);
@@ -293,8 +294,7 @@ impl GraphExecutor for SleepExecutor {
     }
 
     fn venue_collect(&mut self, epoch: u64) -> CycleResult {
-        self.shared.wait_cycle_done();
-        let end = Instant::now();
+        let end = self.shared.wait_cycle_done(epoch);
         // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
         let start = unsafe { *self.shared.cycle_start.get() };
         let duration = end - start;
@@ -303,7 +303,7 @@ impl GraphExecutor for SleepExecutor {
         }
         if let Some(ring) = self.telemetry.as_mut() {
             // Every worker's last counter update precedes its final
-            // done-count increment, acquired by `wait_cycle_done`.
+            // done-count increment, acquired through `wait_cycle_done`.
             let slot = ring.begin_push(epoch, duration.as_nanos() as u64);
             self.shared.drain_counters(slot);
         }

@@ -182,7 +182,7 @@ unsafe fn run_node(
 ) {
     let counters = &ws.base.counters[me];
     let faults = ws.base.fault_plan();
-    if tracing || telem || rec {
+    let end = if tracing || telem || rec {
         let t0 = Instant::now();
         let mut fault_end = t0;
         if let Some(plan) = faults {
@@ -212,12 +212,13 @@ unsafe fn run_node(
             ws.base
                 .record_exec_carved(me, ctx.epoch, node, fault_end, t1, net0);
         }
+        t1
     } else {
         if let Some(plan) = faults {
             plan.inject_node(ctx.epoch, node, counters);
         }
-        ws.base.graph().execute(node as usize, ctx);
-    }
+        ws.base.graph().execute_stamped(node as usize, ctx)
+    };
     let idle = ws.idle.get().expect("idle set initialized");
     let mut released = 0u32;
     // Under critical-path priority successors are visited in ascending
@@ -253,7 +254,7 @@ unsafe fn run_node(
             }
         }
     }
-    if ws.base.node_finished() {
+    if ws.base.node_finished(ctx.epoch, end) {
         // Last node of the cycle: release every sleeper so all workers
         // observe completion and return to the cycle barrier.
         idle.wake_all();
@@ -438,11 +439,10 @@ impl GraphExecutor for StealExecutor {
 
     fn venue_collect(&mut self, epoch: u64) -> CycleResult {
         let ws = &self.shared;
-        ws.base.wait_cycle_done();
+        let end = ws.base.wait_cycle_done(epoch);
         // All nodes are done; now wait for every worker to leave the work
         // loop so none can touch the deques we will seed next cycle.
         ws.base.wait_cycle_exited(ws.base.threads as u32);
-        let end = Instant::now();
         // SAFETY: driver-owned; set by `prepare_cycle` this cycle.
         let start = unsafe { *ws.base.cycle_start.get() };
         let duration = end - start;

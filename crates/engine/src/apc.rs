@@ -116,8 +116,10 @@ impl ApcTiming {
 /// [`AudioEngine::venue_finish`].
 #[derive(Debug, Clone, Copy)]
 pub struct VenueCyclePrep {
-    /// The staged cycle epoch, or `None` for engines (sequential) whose
-    /// graph runs inline on the driver during `venue_finish`.
+    /// The staged cycle epoch, or `None` for an engine not bound to a pool
+    /// (a solo sequential engine), whose graph runs inline on the driver
+    /// during `venue_finish`. A pooled sequential engine stages as a 1-lane
+    /// session that the pool places on its least-loaded lane.
     pub epoch: Option<u64>,
     /// Timecode-phase duration measured during prepare.
     pub tp: Duration,
@@ -404,9 +406,10 @@ impl AudioEngine {
     /// Build an engine whose executor registers on an existing shared
     /// [`VenuePool`] instead of spawning private worker threads — the
     /// venue-server constructor. `threads` is this session's lane count
-    /// and must not exceed the pool's. Sequential engines accept a pool
-    /// too (they simply never stage work on it), so a venue can host
-    /// mixed-strategy sessions uniformly.
+    /// and must not exceed the pool's. Sequential engines join the pool
+    /// as 1-lane sessions: their venue cycles run on whichever lane the
+    /// batch places them on, while [`run_apc`](Self::run_apc) still runs
+    /// the graph inline on the caller.
     pub fn on_pool(
         scenario: Scenario,
         strategy: Strategy,
@@ -494,9 +497,12 @@ impl AudioEngine {
         use djstar_core::graph::Priority;
         let (graph, map) = build_shaped_graph(scenario, shape);
         let executor: Box<dyn GraphExecutor> = match (strategy, pool) {
-            // Sequential never stages pool work; a venue runs it inline on
-            // the driver while the pool crunches the parallel sessions.
-            (Strategy::Sequential, _) => Box::new(SequentialExecutor::new(graph, frames)),
+            // On a pool, a sequential engine's venue cycles run as a 1-lane
+            // session on the least-loaded lane; `run_apc` stays inline.
+            (Strategy::Sequential, None) => Box::new(SequentialExecutor::new(graph, frames)),
+            (Strategy::Sequential, Some(p)) => {
+                Box::new(SequentialExecutor::with_pool(graph, frames, p))
+            }
             (Strategy::Busy, None) => Box::new(BusyExecutor::new(graph, threads, frames)),
             (Strategy::Busy, Some(p)) => Box::new(BusyExecutor::with_pool(
                 graph,
@@ -1429,9 +1435,14 @@ impl AudioEngine {
     /// [`VenuePool::run_driver_parts`], and finishes each session with
     /// [`venue_finish`](Self::venue_finish).
     ///
-    /// Sequential engines stage nothing (`epoch: None`); their graph runs
-    /// inline on the driver during `venue_finish`, overlapping with the
-    /// pool workers crunching the parallel sessions.
+    /// Every pooled engine stages, sequential ones included: a 1-lane
+    /// session goes to the pool lane with the least work already staged
+    /// for the batch (ties to lane 0, the driver), so two sequential
+    /// sessions on a 2-lane pool run side by side. Only an engine with no
+    /// pool returns `epoch: None` and runs its graph inline in
+    /// `venue_finish`. The graph time reported by `venue_finish` runs from
+    /// staging to the session's own completion, so parts of other sessions
+    /// that the driver runs before collecting are not billed to it.
     pub fn venue_prepare(&mut self) -> VenueCyclePrep {
         let (tp, gp) = self.front_end(1);
         let epoch = self.executor.venue_stage(&self.deck_bufs, &self.ctrl);
@@ -1439,7 +1450,7 @@ impl AudioEngine {
     }
 
     /// Second half of a venue-batched cycle: collect the staged graph
-    /// result (or run it inline for sequential engines), then run the
+    /// result (or run it inline for an engine with no pool), then run the
     /// VC phase. Must follow [`venue_prepare`](Self::venue_prepare) and,
     /// for staged engines, the pool's dispatch + driver parts.
     pub fn venue_finish(&mut self, prep: VenueCyclePrep) -> ApcTiming {

@@ -7,12 +7,18 @@
 //!
 //! 1. [`AudioEngine::venue_prepare`] for every session (driver-side TP/GP
 //!    phases, then stage the graph cycle on the pool without waking
-//!    anyone),
+//!    anyone; a 1-lane session — every sequential one — is placed on the
+//!    pool lane with the least work already staged),
 //! 2. one [`VenuePool::dispatch`] publishing the whole batch to the
 //!    workers,
-//! 3. [`VenuePool::run_driver_parts`] so the driver contributes lane 0,
+//! 3. [`VenuePool::run_driver_parts`] so the driver contributes lane 0:
+//!    lane 0 of every multi-lane session plus the 1-lane sessions placed
+//!    there,
 //! 4. [`AudioEngine::venue_finish`] per session (collect the graph
-//!    result — or run it inline for sequential sessions — then VC).
+//!    result, then VC). Two sequential sessions on a 2-lane pool thus run
+//!    side by side, one on the driver and one on the worker. A session's
+//!    graph time ends at its own completion, so whatever the driver ran
+//!    before collecting it is not billed to its deadline.
 //!
 //! **Admission control** keeps the venue schedulable: a candidate session
 //! is probed on a throwaway sequential engine, its per-cycle cost is

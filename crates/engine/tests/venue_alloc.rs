@@ -2,8 +2,9 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after
 //! warm-up, full batched venue cycles — every session's TP/GP phases,
-//! one pool dispatch, driver lane-0 parts, per-session collection, VC
-//! and deadline accounting — must not allocate: cycle preps live in a
+//! lane placement, one pool dispatch, driver lane-0 parts, sequential
+//! graphs on worker lanes, per-session collection, VC and deadline
+//! accounting — must not allocate: cycle preps live in a
 //! scratch vector sized at admission, the pool entry table is reused,
 //! and the engines' own phases were already allocation-free solo.
 //!
@@ -62,9 +63,11 @@ fn spec(strategy: Strategy, threads: usize, networked: bool) -> SessionSpec {
 #[test]
 fn steady_state_venue_cycles_do_not_allocate() {
     let mut venue = VenueServer::new(3, Duration::from_secs(1), 0.0);
-    // A mixed batch: pooled stealer, pooled busy-waiter, inline
-    // sequential, one of them networked — every dispatch flavor the
-    // venue hot path has.
+    // A mixed batch: pooled stealer, pooled busy-waiter, two sequential
+    // sessions, one of them networked — every dispatch flavor the venue
+    // hot path has. The first sequential session is placed on lane 2 (a
+    // pool worker: lanes 0-1 also carry the busy-waiter), the second on
+    // lane 0 (the driver).
     venue
         .admit_bounded(spec(Strategy::Steal, 3, true), 1)
         .expect("admit steal");
@@ -74,6 +77,9 @@ fn steady_state_venue_cycles_do_not_allocate() {
     venue
         .admit_bounded(spec(Strategy::Sequential, 1, false), 1)
         .expect("admit sequential");
+    venue
+        .admit_bounded(spec(Strategy::Sequential, 1, true), 1)
+        .expect("admit second sequential");
     venue.run_cycles(30);
     // Count allocations across a 50-cycle window. A genuine hot-path
     // allocation repeats every window, so re-measuring once filters the

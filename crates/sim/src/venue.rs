@@ -17,7 +17,10 @@
 //! of its non-graph phases (TP + GP + VC, which run on the driver and also
 //! serialize across sessions). The bound is an over-approximation — real
 //! batches overlap sessions across lanes and finish earlier — so a
-//! schedulable-by-the-bound set is schedulable in practice, and the E18
+//! schedulable-by-the-bound set is schedulable in practice. It stays
+//! sound, but is loose by design when 1-lane sessions share a batch: the
+//! pool places each on its least-loaded lane, so two of them on different
+//! lanes run side by side while the sum charges them back to back. The E18
 //! harness gates on the converse: every rejection must be confirmed
 //! unschedulable by this same oracle.
 

@@ -8,7 +8,7 @@
 set -e
 ROUNDS=${1:-10}
 CORE="--test fault_differential"
-ENGINE="--test net_differential --test modes_differential --test venue_isolation --test frontend_differential"
+ENGINE="--test net_differential --test modes_differential --test venue_isolation --test frontend_differential --test venue_placement"
 echo "== building the batteries (release) =="
 cargo test --release -q -p djstar-core $CORE --no-run
 cargo test --release -q -p djstar-engine $ENGINE --no-run
